@@ -218,7 +218,11 @@ BM_Variance(benchmark::State &state)
 }
 BENCHMARK(BM_Variance)->Arg(64)->Arg(2048);
 
-/** Interpreter throughput on the Figure 2 significant-motion graph. */
+/**
+ * Interpreter throughput on the Figure 2 significant-motion graph, one
+ * sample per call (pushSamples, a one-wave block): the K = 1 cost
+ * budget.
+ */
 void
 BM_EngineSignificantMotion(benchmark::State &state)
 {
@@ -459,9 +463,9 @@ BENCHMARK(BM_PlanDispatchSirenPhrase);
 /**
  * Block-execution throughput on the same workload: K waves per
  * pushBlock(), so each node runs a tight loop over contiguous lanes
- * instead of K virtual calls through the per-sample wave loop. The
- * K sweep is the tentpole acceptance measurement — ns/sample here vs
- * BM_PlanDispatchSirenPhrase is the block-dispatch speedup.
+ * instead of K one-wave blocks. ns/sample here vs
+ * BM_PlanDispatchSirenPhrase (pushSamples, the K = 1 block) is the
+ * block-dispatch speedup.
  */
 void
 BM_BlockDispatchSirenPhrase(benchmark::State &state)

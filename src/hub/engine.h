@@ -35,6 +35,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hub/kernel.h"
@@ -183,12 +184,14 @@ class Engine
 
     /**
      * Feed one synchronous sample per channel (in the channel order
-     * given at construction) and run one evaluation wave.
+     * given at construction) and run one evaluation wave: a one-wave
+     * pushBlock().
      */
     void pushSamples(const std::vector<double> &values, double timestamp);
 
     /**
-     * Block execution: feed @p count consecutive waves at once.
+     * Feed @p count consecutive waves at once — the engine's one
+     * execution path.
      *
      * @p samples is channel-major — samples[ch * count + w] is
      * channel ch's sample on wave w — so each kernel's block loop
@@ -196,11 +199,10 @@ class Engine
      * directly from the caller's buffer with no per-sample copying.
      * @p timestamps holds one timestamp per wave.
      *
-     * Semantically identical to calling pushSamples() once per wave
+     * The result does not depend on how a stream is cut into blocks
      * (same wake events in the same order, same raw history, same
-     * node state afterward — blocks and single waves interleave
-     * freely), but each node runs one Kernel::invokeBlock() over the
-     * whole block instead of @p count virtual calls: node-major
+     * node state afterward at any mix of block sizes): each node runs
+     * one Kernel::invokeBlock() over the whole block, and node-major
      * iteration over SoA lanes is valid because all cross-wave state
      * lives inside kernel objects, and a node's per-wave firing
      * decisions depend only on producers that precede it in the
@@ -272,7 +274,8 @@ class Engine
 
     /**
      * Arm the range tripwire: while armed, every value a node emits
-     * on the per-sample path is cross-checked against its proven
+     * (every Emitted lane entry of every block) is cross-checked
+     * against its proven
      * interval (plus a tiny floating-point slack); violations are
      * counted and the first one is described. The soundness gate of
      * the value-range analyzer (tests/il_range_test.cc, ASan/TSan
@@ -345,15 +348,6 @@ class Engine
         std::vector<int> inputs;
         /** Producer per input; nullptr for channel inputs. */
         std::vector<const Node *> producers;
-        /**
-         * Input value pointer per input, resolved at install time:
-         * channel slots and producer result slots are address-stable,
-         * so the wave loop reuses these instead of rebuilding an
-         * input array per wave. Entries are patched to null through
-         * `scratch` only for AnyInput/ObserveBlocks firings with
-         * non-emitting inputs.
-         */
-        std::vector<const Value *> cachedInputs;
         /** The non-channel producers, for per-wave state checks. */
         std::vector<const Node *> nodeProducers;
         /** True when any input is a channel (emits every wave). */
@@ -368,12 +362,6 @@ class Engine
         std::size_t ramBytes = 0;
         int refCount = 0;
 
-        // Per-wave state.
-        WaveState state = WaveState::Idle;
-        Value result;
-        /** Reused input-pointer scratch (hot-path allocation avoidance). */
-        std::vector<const Value *> scratch;
-
         // Block-execution storage, grown to the largest block seen.
         // One lane per wave: states always; scalars for scalar
         // emitters, boxed Values (persistent, storage-reusing) for
@@ -381,7 +369,7 @@ class Engine
         std::vector<std::uint8_t> blockStates;
         std::vector<double> blockScalars;
         std::vector<Value> blockBoxed;
-        /** Reused SoA input views for invokeBlock(). */
+        /** SoA input views for invokeBlock(), built by growLanes(). */
         std::vector<BlockInput> blockInputs;
     };
 
@@ -405,9 +393,15 @@ class Engine
     void releaseConditionNodes(const Condition &cond);
     /** Rebuild the dense wave schedule after any add/remove. */
     void rebuildSchedule();
-    /** Size a node's block lanes and input views for @p count waves. */
-    void prepareNodeBlock(Node *node, const double *samples,
-                          std::size_t count);
+    /**
+     * Size every node's lanes for max(@p count, largest block seen)
+     * waves and rebuild the input views. Runs only when a block
+     * outgrows the lanes or the schedule changed, so steady-state
+     * blocks (K = 1 included) reuse the views as built.
+     */
+    void growLanes(std::size_t count);
+    /** Append the wake events of wave @p w in condition order. */
+    void raiseWakeEvents(std::size_t w, double timestamp);
     /**
      * Run @p node's kernel on the single wave @p w of a block: every
      * block lane is sliced to that wave and the kernel sees a dense
@@ -436,8 +430,15 @@ class Engine
     std::map<int, Condition> stagedConditions;
     std::vector<RingBuffer<double>> rawBuffers;
     std::vector<WakeEvent> pendingWakeEvents;
-    /** Reused per-wave channel value scratch. */
-    std::vector<Value> channelValues;
+    /** Waves every node lane holds (the largest block seen). */
+    std::size_t laneWaves = 0;
+    /** Set by rebuildSchedule(): lanes and views need growLanes(). */
+    bool lanesStale = true;
+    /**
+     * Channel-input views and their channel index: the only views
+     * that move per block (they point into the caller's buffer).
+     */
+    std::vector<std::pair<BlockInput *, std::size_t>> channelViews;
     /** Reused per-block firing-decision scratch. */
     std::vector<BlockFire> fireDecisions;
     /** Reused per-block combined-input-state scratch (multi-input). */
@@ -458,7 +459,8 @@ class Engine
     std::size_t tripwireViolationCount = 0;
     std::string tripwireFirstViolation;
 
-    void checkRangeTripwire(const Node &node);
+    /** Check the first @p count waves of @p node's emitted lanes. */
+    void checkRangeTripwire(const Node &node, std::size_t count);
 };
 
 } // namespace sidewinder::hub

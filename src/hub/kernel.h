@@ -7,14 +7,14 @@
  * on the data available in the structure and, if required, stores the
  * result in the structure and sets the hasResult flag." Here the data
  * structure is the kernel object; the interpreter owns the hasResult
- * bookkeeping around invoke().
+ * bookkeeping around invokeBlock().
  */
 
 #ifndef SIDEWINDER_HUB_KERNEL_H
 #define SIDEWINDER_HUB_KERNEL_H
 
+#include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "hub/value.h"
@@ -44,9 +44,9 @@ enum class FiringPolicy {
     /** Invoke when at least one input emitted. */
     AnyInput,
     /**
-     * Invoke whenever any input emitted *or blocked*, with nullptr
-     * for non-emitting inputs — kernels that must observe misses
-     * (consecutive) use this.
+     * Invoke whenever any input emitted *or blocked*, with the
+     * non-emitting inputs marked absent (BlockFire::RunPartial) —
+     * kernels that must observe misses (consecutive) use this.
      */
     ObserveBlocks,
 };
@@ -68,8 +68,9 @@ enum class KernelMode { Float64, FixedQ15 };
 
 /**
  * Engine-computed firing decision for one wave within a block.
- * SkipIdle/SkipBlocked mirror the per-sample wave loop's !run
- * branches; RunAll fires with every input emitted (no nulls);
+ * SkipIdle/SkipBlocked: the node is not evaluated and the wave's state
+ * is Idle (inactivity) or Blocked (an upstream rejection propagates);
+ * RunAll fires with every input emitted;
  * RunPartial fires under AnyInput/ObserveBlocks with at least one
  * non-emitting input, so kernels must consult the per-input states.
  */
@@ -110,17 +111,12 @@ struct BlockOutput
 /**
  * An executable algorithm instance.
  *
- * Subclasses implement at least one of invoke() / invokeInto(); each
- * has a default implementation in terms of the other. Frame-producing
- * kernels override invokeInto() and write into the output value's
- * existing storage, so the interpreter's steady state reuses buffers
- * instead of constructing and destroying frame vectors every sample.
- *
- * Block execution: invokeBlock() runs K waves in one virtual call
- * over contiguous SoA buffers. The default implementation loops the
- * per-sample invokeInto() path, so every kernel is block-correct by
- * construction; the hot per-wave kernels override it with tight
- * loops the compiler can vectorize.
+ * invokeBlock() is the one execution entry point: the engine hands a
+ * kernel K consecutive waves at once over contiguous SoA lanes, and
+ * per-sample ingestion is simply the K = 1 case. Frame-producing
+ * kernels write into the output lane's persistent Values
+ * (Value::frameStorage()), so the steady state reuses buffers instead
+ * of constructing and destroying frame vectors every wave.
  */
 class Kernel
 {
@@ -128,43 +124,7 @@ class Kernel
     virtual ~Kernel() = default;
 
     /**
-     * Execute one firing.
-     *
-     * @param inputs One entry per declared input; entries are null
-     *     only under FiringPolicy::Activated when that input produced
-     *     no result this wave.
-     * @return the produced value, or nullopt when this firing yields
-     *     no result (the hasResult flag stays clear).
-     */
-    virtual std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs)
-    {
-        Value out;
-        if (!invokeInto(inputs, out))
-            return std::nullopt;
-        return out;
-    }
-
-    /**
-     * Execute one firing, writing the result into @p out — the hot
-     * interpreter path. @p out is the node's persistent result slot;
-     * kernels reuse its storage (Value::frameStorage()) across waves.
-     *
-     * @return true when a result was produced (hasResult set).
-     */
-    virtual bool
-    invokeInto(const std::vector<const Value *> &inputs, Value &out)
-    {
-        auto result = invoke(inputs);
-        if (!result)
-            return false;
-        out = std::move(*result);
-        return true;
-    }
-
-    /**
-     * Execute @p count consecutive waves in one call — the block
-     * execution fast path.
+     * Execute @p count consecutive waves in one call.
      *
      * @param inputs One BlockInput per declared input, each viewing
      *     @p count waves of that producer's states/results.
@@ -173,17 +133,13 @@ class Kernel
      *     proved all inputs emit on every wave).
      * @param count Number of waves in the block.
      * @param out SoA destination; out.states[w] must be written for
-     *     every wave (Skip* waves copy the engine's decision).
-     *
-     * The default implementation replays the per-sample invokeInto()
-     * path wave by wave, reproducing partial-firing nulls and
-     * Blocked/Idle mapping exactly — so block execution is
-     * bit-identical to per-sample execution for every kernel, and
-     * overrides are purely an optimization.
+     *     every wave (Skip* waves copy the engine's decision). A
+     *     RunPartial wave must consult the per-input states: an input
+     *     whose state is not Emitted carries no value on that wave.
      */
     virtual void invokeBlock(const std::vector<BlockInput> &inputs,
                              const BlockFire *fire, std::size_t count,
-                             const BlockOutput &out);
+                             const BlockOutput &out) = 0;
 
     /** Discard accumulated state (window contents, counters, ...). */
     virtual void reset() {}

@@ -41,6 +41,21 @@ inputPresent(const BlockInput &in, std::size_t w)
 }
 
 /**
+ * Resolve wave @p w's firing decision (RunAll throughout a dense
+ * block, @p fire == nullptr). A skipped wave gets its state written
+ * here — SkipIdle and SkipBlocked share their encoding with Idle and
+ * Blocked — and returns false.
+ */
+inline bool
+firesOn(const BlockFire *fire, std::size_t w, const BlockOutput &out)
+{
+    if (fire == nullptr || fire[w] >= BlockFire::RunAll)
+        return true;
+    out.states[w] = static_cast<std::uint8_t>(fire[w]);
+    return false;
+}
+
+/**
  * Shared skeleton for single-input scalar-to-scalar streaming kernels
  * (AllInputs policy, so RunPartial never occurs): @p step consumes one
  * sample and either writes the output scalar (returning true) or
@@ -62,17 +77,11 @@ runScalarBlock(const BlockInput &in, const BlockFire *fire,
                                 : miss_state;
         return;
     }
-    for (std::size_t w = 0; w < count; ++w) {
-        const BlockFire decision = fire[w];
-        if (decision == BlockFire::SkipIdle)
-            out.states[w] = kWaveIdle;
-        else if (decision == BlockFire::SkipBlocked)
-            out.states[w] = kWaveBlocked;
-        else
+    for (std::size_t w = 0; w < count; ++w)
+        if (firesOn(fire, w, out))
             out.states[w] = step(in.scalars[w], out.scalars[w])
                                 ? kWaveEmitted
                                 : miss_state;
-    }
 }
 
 /** As runScalarBlock, for frame-emitting kernels (window). */
@@ -82,88 +91,38 @@ runScalarToFrameBlock(const BlockInput &in, const BlockFire *fire,
                       std::size_t count, const BlockOutput &out,
                       Step step)
 {
-    if (fire == nullptr) {
-        for (std::size_t w = 0; w < count; ++w)
+    for (std::size_t w = 0; w < count; ++w)
+        if (firesOn(fire, w, out))
             out.states[w] = step(in.scalars[w], out.boxed[w])
                                 ? kWaveEmitted
                                 : kWaveIdle;
-        return;
-    }
-    for (std::size_t w = 0; w < count; ++w) {
-        const BlockFire decision = fire[w];
-        if (decision == BlockFire::SkipIdle)
-            out.states[w] = kWaveIdle;
-        else if (decision == BlockFire::SkipBlocked)
-            out.states[w] = kWaveBlocked;
-        else
-            out.states[w] = step(in.scalars[w], out.boxed[w])
-                                ? kWaveEmitted
-                                : kWaveIdle;
-    }
 }
 
-} // namespace
-
-void
-Kernel::invokeBlock(const std::vector<BlockInput> &inputs,
-                    const BlockFire *fire, std::size_t count,
-                    const BlockOutput &out)
+/**
+ * Shared skeleton for single-input frame consumers (transforms,
+ * spectra, block filters, reducers, spectral features, Goertzel):
+ * @p step(frame, w) reads the input wave's boxed Value and writes wave
+ * w of the output lane — out.boxed[w]'s reused storage for frame
+ * emitters, out.scalars[w] for reducers. Every firing emits.
+ */
+template <typename Step>
+inline void
+runFrameBlock(const BlockInput &in, const BlockFire *fire,
+              std::size_t count, const BlockOutput &out, Step step)
 {
-    // Reference fallback: replay the per-sample invokeInto() path wave
-    // by wave, boxing scalar lanes into temporary Values and patching
-    // nulls for partial firings — bit-identical to the per-sample wave
-    // loop for any kernel, at per-sample cost.
-    std::vector<Value> boxed_scalars(inputs.size());
-    std::vector<const Value *> ptrs(inputs.size());
-    const bool rejects = conditional();
-    Value scalar_out;
     for (std::size_t w = 0; w < count; ++w) {
-        const BlockFire decision = fire ? fire[w] : BlockFire::RunAll;
-        if (decision == BlockFire::SkipIdle) {
-            out.states[w] = kWaveIdle;
+        if (!firesOn(fire, w, out))
             continue;
-        }
-        if (decision == BlockFire::SkipBlocked) {
-            out.states[w] = kWaveBlocked;
-            continue;
-        }
-        for (std::size_t k = 0; k < inputs.size(); ++k) {
-            const BlockInput &in = inputs[k];
-            if (decision == BlockFire::RunPartial &&
-                !inputPresent(in, w)) {
-                ptrs[k] = nullptr;
-            } else if (in.boxed != nullptr) {
-                ptrs[k] = &in.boxed[w];
-            } else {
-                boxed_scalars[k] = Value(in.scalars[w]);
-                ptrs[k] = &boxed_scalars[k];
-            }
-        }
-        Value &dest = out.boxed != nullptr ? out.boxed[w] : scalar_out;
-        const bool ok = invokeInto(ptrs, dest);
-        if (ok && out.scalars != nullptr)
-            out.scalars[w] = dest.scalar();
-        out.states[w] = ok ? kWaveEmitted
-                           : (rejects ? kWaveBlocked : kWaveIdle);
+        step(in.boxed[w], w);
+        out.states[w] = kWaveEmitted;
     }
 }
-
-namespace {
 
 /** movingAvg(n): scalar noise reduction. */
 class MovingAvgKernel : public Kernel
 {
   public:
     explicit MovingAvgKernel(std::size_t n) : filter(n) {}
-
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        auto out = filter.push(inputs[0]->scalar());
-        if (!out)
-            return std::nullopt;
-        return Value(*out);
-    }
 
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
@@ -190,12 +149,6 @@ class ExpMovingAvgKernel : public Kernel
 {
   public:
     explicit ExpMovingAvgKernel(double alpha) : filter(alpha) {}
-
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        return Value(filter.push(inputs[0]->scalar()));
-    }
 
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
@@ -225,14 +178,6 @@ class WindowKernel : public Kernel
                       hop)
     {}
 
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
-    {
-        return partitioner.pushInto(inputs[0]->scalar(),
-                                    out.frameStorage());
-    }
-
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
@@ -240,20 +185,20 @@ class WindowKernel : public Kernel
         if (fire == nullptr) {
             // Dense lane: bulk-append the quiet stretch between frame
             // completions (a contiguous insert, not one push per
-            // wave), and run the per-sample path only on the wave
-            // that completes a frame — identical resulting state.
+            // wave), and push single samples one by one — the wave
+            // that completes a frame, and every wave of a K = 1
+            // block — with identical resulting state.
             const double *lane = inputs[0].scalars;
             std::size_t w = 0;
             while (w < count) {
                 const std::size_t quiet = std::min(
                     partitioner.remainingToFrame() - 1, count - w);
-                if (quiet != 0) {
+                if (quiet > 1) {
                     partitioner.appendPartial(lane + w, quiet);
                     std::memset(out.states + w, kWaveIdle, quiet);
                     w += quiet;
+                    continue;
                 }
-                if (w == count)
-                    break;
                 out.states[w] =
                     partitioner.pushInto(lane[w],
                                          out.boxed[w].frameStorage())
@@ -279,15 +224,18 @@ class WindowKernel : public Kernel
 class FftKernel : public Kernel
 {
   public:
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
+    void invokeBlock(const std::vector<BlockInput> &inputs,
+                     const BlockFire *fire, std::size_t count,
+                     const BlockOutput &out) override
     {
-        const auto &frame = inputs[0]->frame();
-        if (!plan || plan->size() != frame.size())
-            plan = dsp::FftPlan::forSize(frame.size());
-        plan->forwardReal(frame, out.complexFrameStorage());
-        return true;
+        runFrameBlock(inputs[0], fire, count, out,
+                      [&](const Value &x, std::size_t w) {
+                          const auto &frame = x.frame();
+                          if (!plan || plan->size() != frame.size())
+                              plan = dsp::FftPlan::forSize(frame.size());
+                          plan->forwardReal(
+                              frame, out.boxed[w].complexFrameStorage());
+                      });
     }
 
   private:
@@ -298,23 +246,27 @@ class FftKernel : public Kernel
 class IfftKernel : public Kernel
 {
   public:
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
+    void invokeBlock(const std::vector<BlockInput> &inputs,
+                     const BlockFire *fire, std::size_t count,
+                     const BlockOutput &out) override
     {
-        const auto &bins = inputs[0]->complexFrame();
-        if (!plan || plan->size() != bins.size())
-            plan = dsp::FftPlan::forSize(bins.size());
-        // General spectra need not be conjugate-symmetric, so run the
-        // full inverse on a per-node scratch copy and keep the real
-        // parts (same semantics as dsp::ifftToReal).
-        scratch.assign(bins.begin(), bins.end());
-        plan->inverse(scratch.data());
-        auto &frame = out.frameStorage();
-        frame.resize(scratch.size());
-        for (std::size_t i = 0; i < scratch.size(); ++i)
-            frame[i] = scratch[i].real();
-        return true;
+        runFrameBlock(
+            inputs[0], fire, count, out,
+            [&](const Value &x, std::size_t w) {
+                const auto &bins = x.complexFrame();
+                if (!plan || plan->size() != bins.size())
+                    plan = dsp::FftPlan::forSize(bins.size());
+                // General spectra need not be conjugate-symmetric, so
+                // run the full inverse on a per-node scratch copy and
+                // keep the real parts (same semantics as
+                // dsp::ifftToReal).
+                scratch.assign(bins.begin(), bins.end());
+                plan->inverse(scratch.data());
+                auto &frame = out.boxed[w].frameStorage();
+                frame.resize(scratch.size());
+                for (std::size_t i = 0; i < scratch.size(); ++i)
+                    frame[i] = scratch[i].real();
+            });
     }
 
   private:
@@ -326,18 +278,21 @@ class IfftKernel : public Kernel
 class SpectrumKernel : public Kernel
 {
   public:
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
+    void invokeBlock(const std::vector<BlockInput> &inputs,
+                     const BlockFire *fire, std::size_t count,
+                     const BlockOutput &out) override
     {
-        const auto &bins = inputs[0]->complexFrame();
-        const std::size_t half = bins.size() / 2;
-        auto &mags = out.frameStorage();
-        mags.clear();
-        mags.reserve(half + 1);
-        for (std::size_t i = 0; i <= half && i < bins.size(); ++i)
-            mags.push_back(std::abs(bins[i]));
-        return true;
+        runFrameBlock(inputs[0], fire, count, out,
+                      [&](const Value &x, std::size_t w) {
+                          const auto &bins = x.complexFrame();
+                          const std::size_t half = bins.size() / 2;
+                          auto &mags = out.boxed[w].frameStorage();
+                          mags.clear();
+                          mags.reserve(half + 1);
+                          for (std::size_t i = 0;
+                               i <= half && i < bins.size(); ++i)
+                              mags.push_back(std::abs(bins[i]));
+                      });
     }
 };
 
@@ -350,12 +305,15 @@ class BlockFilterKernel : public Kernel
         : filter(band, cutoff_hz, sample_rate_hz)
     {}
 
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
+    void invokeBlock(const std::vector<BlockInput> &inputs,
+                     const BlockFire *fire, std::size_t count,
+                     const BlockOutput &out) override
     {
-        filter.applyInto(inputs[0]->frame(), out.frameStorage());
-        return true;
+        runFrameBlock(inputs[0], fire, count, out,
+                      [&](const Value &x, std::size_t w) {
+                          filter.applyInto(x.frame(),
+                                           out.boxed[w].frameStorage());
+                      });
     }
 
   private:
@@ -366,29 +324,14 @@ class BlockFilterKernel : public Kernel
 class VectorMagnitudeKernel : public Kernel
 {
   public:
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
-    {
-        // Inline sqrt-of-squares (same math as dsp::vectorMagnitude)
-        // to avoid building a component vector per sample.
-        double sum = 0.0;
-        for (const Value *v : inputs)
-            sum += v->scalar() * v->scalar();
-        out = Value(std::sqrt(sum));
-        return true;
-    }
-
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
     {
-        if (fire != nullptr) {
-            // AllInputs with upstream gaps: rare, replay per-sample.
-            Kernel::invokeBlock(inputs, fire, count, out);
-            return;
-        }
+        // AllInputs: a firing wave never has an absent input.
         for (std::size_t w = 0; w < count; ++w) {
+            if (!firesOn(fire, w, out))
+                continue;
             double sum = 0.0;
             for (const BlockInput &in : inputs)
                 sum += in.scalars[w] * in.scalars[w];
@@ -406,29 +349,14 @@ class ReducerKernel : public Kernel
 
     explicit ReducerKernel(Fn fn) : fn(fn) {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        return Value(fn(inputs[0]->frame()));
-    }
-
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
     {
-        const BlockInput &in = inputs[0];
-        for (std::size_t w = 0; w < count; ++w) {
-            const BlockFire decision =
-                fire ? fire[w] : BlockFire::RunAll;
-            if (decision == BlockFire::SkipIdle)
-                out.states[w] = kWaveIdle;
-            else if (decision == BlockFire::SkipBlocked)
-                out.states[w] = kWaveBlocked;
-            else {
-                out.scalars[w] = fn(in.boxed[w].frame());
-                out.states[w] = kWaveEmitted;
-            }
-        }
+        runFrameBlock(inputs[0], fire, count, out,
+                      [&](const Value &x, std::size_t w) {
+                          out.scalars[w] = fn(x.frame());
+                      });
     }
 
   private:
@@ -446,23 +374,32 @@ class SpectralFeatureKernel : public Kernel
         : feature(feature), fftSize(fft_size), baseRateHz(base_rate_hz)
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    void invokeBlock(const std::vector<BlockInput> &inputs,
+                     const BlockFire *fire, std::size_t count,
+                     const BlockOutput &out) override
     {
-        const auto dom = dsp::dominantFrequency(inputs[0]->frame());
-        switch (feature) {
-          case Feature::FrequencyHz:
-            return Value(
-                dsp::binFrequencyHz(dom.bin, fftSize, baseRateHz));
-          case Feature::Magnitude:
-            return Value(dom.magnitude);
-          case Feature::PeakToMeanRatio:
-            return Value(dom.peakToMeanRatio());
-        }
-        return std::nullopt;
+        runFrameBlock(inputs[0], fire, count, out,
+                      [&](const Value &x, std::size_t w) {
+                          out.scalars[w] = extract(x.frame());
+                      });
     }
 
   private:
+    double
+    extract(const std::vector<double> &spectrum) const
+    {
+        const auto dom = dsp::dominantFrequency(spectrum);
+        switch (feature) {
+          case Feature::FrequencyHz:
+            return dsp::binFrequencyHz(dom.bin, fftSize, baseRateHz);
+          case Feature::Magnitude:
+            return dom.magnitude;
+          case Feature::PeakToMeanRatio:
+            return dom.peakToMeanRatio();
+        }
+        return 0.0;
+    }
+
     Feature feature;
     std::size_t fftSize;
     double baseRateHz;
@@ -478,15 +415,20 @@ class GoertzelKernel : public Kernel
           relative(relative)
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    void invokeBlock(const std::vector<BlockInput> &inputs,
+                     const BlockFire *fire, std::size_t count,
+                     const BlockOutput &out) override
     {
-        const auto &frame = inputs[0]->frame();
-        return Value(relative
-                         ? dsp::goertzelRelative(frame, targetHz,
-                                                 baseRateHz)
-                         : dsp::goertzelMagnitude(frame, targetHz,
-                                                  baseRateHz));
+        runFrameBlock(
+            inputs[0], fire, count, out,
+            [&](const Value &x, std::size_t w) {
+                const auto &frame = x.frame();
+                out.scalars[w] =
+                    relative ? dsp::goertzelRelative(frame, targetHz,
+                                                     baseRateHz)
+                             : dsp::goertzelMagnitude(frame, targetHz,
+                                                      baseRateHz);
+            });
     }
 
   private:
@@ -502,15 +444,6 @@ class ThresholdKernel : public Kernel
     explicit ThresholdKernel(dsp::Threshold threshold)
         : threshold(threshold)
     {}
-
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        auto out = threshold.push(inputs[0]->scalar());
-        if (!out)
-            return std::nullopt;
-        return Value(*out);
-    }
 
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
@@ -540,15 +473,6 @@ class PeakKernel : public Kernel
         : detector(polarity, low, high, refractory)
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        auto out = detector.push(inputs[0]->scalar());
-        if (!out)
-            return std::nullopt;
-        return Value(*out);
-    }
-
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
@@ -573,12 +497,6 @@ class PeakKernel : public Kernel
 class AndKernel : public Kernel
 {
   public:
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        return Value(inputs[0]->scalar());
-    }
-
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
@@ -595,34 +513,18 @@ class AndKernel : public Kernel
 class OrKernel : public Kernel
 {
   public:
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        for (const Value *v : inputs)
-            if (v != nullptr)
-                return Value(v->scalar());
-        return std::nullopt;
-    }
-
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
     {
         for (std::size_t w = 0; w < count; ++w) {
-            const BlockFire decision =
-                fire ? fire[w] : BlockFire::RunAll;
-            if (decision == BlockFire::SkipIdle) {
-                out.states[w] = kWaveIdle;
+            if (!firesOn(fire, w, out))
                 continue;
-            }
-            if (decision == BlockFire::SkipBlocked) {
-                out.states[w] = kWaveBlocked;
-                continue;
-            }
+            const bool partial =
+                fire != nullptr && fire[w] == BlockFire::RunPartial;
             out.states[w] = kWaveIdle;
             for (const BlockInput &in : inputs) {
-                if (decision == BlockFire::RunAll ||
-                    inputPresent(in, w)) {
+                if (!partial || inputPresent(in, w)) {
                     out.scalars[w] = in.scalars[w];
                     out.states[w] = kWaveEmitted;
                     break;
@@ -652,38 +554,17 @@ class ConsecutiveKernel : public Kernel
         : required(required)
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        if (inputs[0] == nullptr) {
-            count = 0;
-            return std::nullopt;
-        }
-        ++count;
-        if (count >= required && count % required == 0)
-            return Value(inputs[0]->scalar());
-        return std::nullopt;
-    }
-
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t waves,
                      const BlockOutput &out) override
     {
         const BlockInput &in = inputs[0];
         for (std::size_t w = 0; w < waves; ++w) {
-            const BlockFire decision =
-                fire ? fire[w] : BlockFire::RunAll;
-            if (decision == BlockFire::SkipIdle) {
-                out.states[w] = kWaveIdle;
+            if (!firesOn(fire, w, out))
                 continue;
-            }
-            if (decision == BlockFire::SkipBlocked) {
-                out.states[w] = kWaveBlocked;
-                continue;
-            }
             // RunPartial on the single input means it blocked this
             // wave: an observed miss resets the streak.
-            if (decision == BlockFire::RunPartial &&
+            if (fire != nullptr && fire[w] == BlockFire::RunPartial &&
                 !inputPresent(in, w)) {
                 count = 0;
                 out.states[w] = kWaveBlocked;
@@ -729,15 +610,6 @@ class Q15MovingAvgKernel : public Kernel
   public:
     explicit Q15MovingAvgKernel(std::size_t n) : filter(n) {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        auto out = filter.push(dsp::toQ15(inputs[0]->scalar()));
-        if (!out)
-            return std::nullopt;
-        return Value(dsp::fromQ15(*out));
-    }
-
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
@@ -763,13 +635,6 @@ class Q15ExpMovingAvgKernel : public Kernel
 {
   public:
     explicit Q15ExpMovingAvgKernel(double alpha) : filter(alpha) {}
-
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        return Value(
-            dsp::fromQ15(filter.push(dsp::toQ15(inputs[0]->scalar()))));
-    }
 
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
@@ -811,14 +676,6 @@ class Q15WindowKernel : public Kernel
                 coefficients[i] =
                     dsp::toQ15(dsp::hammingCoefficient(i, frameSize));
         }
-    }
-
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
-    {
-        return push(dsp::toQ15(inputs[0]->scalar()),
-                    out.frameStorage());
     }
 
     void invokeBlock(const std::vector<BlockInput> &inputs,
@@ -865,11 +722,21 @@ class Q15WindowKernel : public Kernel
 class Q15FftKernel : public Kernel
 {
   public:
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
+    void invokeBlock(const std::vector<BlockInput> &inputs,
+                     const BlockFire *fire, std::size_t count,
+                     const BlockOutput &out) override
     {
-        const auto &frame = inputs[0]->frame();
+        runFrameBlock(inputs[0], fire, count, out,
+                      [&](const Value &x, std::size_t w) {
+                          apply(x, out.boxed[w]);
+                      });
+    }
+
+  private:
+    void
+    apply(const Value &in, Value &out)
+    {
+        const auto &frame = in.frame();
         const std::size_t n = frame.size();
         if (!plan || plan->size() != n)
             plan = dsp::Q15FftPlan::forSize(n);
@@ -882,10 +749,8 @@ class Q15FftKernel : public Kernel
         for (std::size_t i = 0; i < n; ++i)
             bins[i] = dsp::Complex(dsp::fromQ15(re[i]),
                                    dsp::fromQ15(im[i]));
-        return true;
     }
 
-  private:
     std::shared_ptr<const dsp::Q15FftPlan> plan;
     std::vector<dsp::Q15> re;
     std::vector<dsp::Q15> im;
@@ -895,11 +760,21 @@ class Q15FftKernel : public Kernel
 class Q15IfftKernel : public Kernel
 {
   public:
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
+    void invokeBlock(const std::vector<BlockInput> &inputs,
+                     const BlockFire *fire, std::size_t count,
+                     const BlockOutput &out) override
     {
-        const auto &bins = inputs[0]->complexFrame();
+        runFrameBlock(inputs[0], fire, count, out,
+                      [&](const Value &x, std::size_t w) {
+                          apply(x, out.boxed[w]);
+                      });
+    }
+
+  private:
+    void
+    apply(const Value &in, Value &out)
+    {
+        const auto &bins = in.complexFrame();
         const std::size_t n = bins.size();
         if (!plan || plan->size() != n)
             plan = dsp::Q15FftPlan::forSize(n);
@@ -914,10 +789,8 @@ class Q15IfftKernel : public Kernel
         frame.resize(n);
         for (std::size_t i = 0; i < n; ++i)
             frame[i] = dsp::fromQ15(re[i]);
-        return true;
     }
 
-  private:
     std::shared_ptr<const dsp::Q15FftPlan> plan;
     std::vector<dsp::Q15> re;
     std::vector<dsp::Q15> im;
@@ -932,11 +805,21 @@ class Q15IfftKernel : public Kernel
 class Q15SpectrumKernel : public Kernel
 {
   public:
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
+    void invokeBlock(const std::vector<BlockInput> &inputs,
+                     const BlockFire *fire, std::size_t count,
+                     const BlockOutput &out) override
     {
-        const auto &bins = inputs[0]->complexFrame();
+        runFrameBlock(inputs[0], fire, count, out,
+                      [&](const Value &x, std::size_t w) {
+                          apply(x, out.boxed[w]);
+                      });
+    }
+
+  private:
+    void
+    apply(const Value &in, Value &out)
+    {
+        const auto &bins = in.complexFrame();
         const std::size_t half = bins.size() / 2;
         const double scale = static_cast<double>(bins.size());
         auto &mags = out.frameStorage();
@@ -944,7 +827,6 @@ class Q15SpectrumKernel : public Kernel
         mags.reserve(half + 1);
         for (std::size_t i = 0; i <= half && i < bins.size(); ++i)
             mags.push_back(std::abs(bins[i]) * scale);
-        return true;
     }
 };
 
@@ -969,11 +851,21 @@ class Q15BlockFilterKernel : public Kernel
             throw ConfigError("filter cutoff must be below Nyquist");
     }
 
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
+    void invokeBlock(const std::vector<BlockInput> &inputs,
+                     const BlockFire *fire, std::size_t count,
+                     const BlockOutput &out) override
     {
-        const auto &frame = inputs[0]->frame();
+        runFrameBlock(inputs[0], fire, count, out,
+                      [&](const Value &x, std::size_t w) {
+                          apply(x, out.boxed[w]);
+                      });
+    }
+
+  private:
+    void
+    apply(const Value &in, Value &out)
+    {
+        const auto &frame = in.frame();
         const std::size_t n = frame.size();
         if (!plan || plan->size() != n)
             plan = dsp::Q15FftPlan::forSize(n);
@@ -1004,10 +896,8 @@ class Q15BlockFilterKernel : public Kernel
         filtered.resize(n);
         for (std::size_t i = 0; i < n; ++i)
             filtered[i] = dsp::fromQ15(re[i]);
-        return true;
     }
 
-  private:
     dsp::PassBand direction;
     double cutoff;
     double sampleRate;
@@ -1020,28 +910,13 @@ class Q15BlockFilterKernel : public Kernel
 class Q15VectorMagnitudeKernel : public Kernel
 {
   public:
-    bool
-    invokeInto(const std::vector<const Value *> &inputs,
-               Value &out) override
-    {
-        std::int64_t sum = 0;
-        for (const Value *v : inputs) {
-            const std::int32_t q = dsp::toQ15(v->scalar());
-            sum += static_cast<std::int64_t>(q) * q;
-        }
-        out = Value(std::sqrt(static_cast<double>(sum)) / dsp::kQ15One);
-        return true;
-    }
-
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
     {
-        if (fire != nullptr) {
-            Kernel::invokeBlock(inputs, fire, count, out);
-            return;
-        }
         for (std::size_t w = 0; w < count; ++w) {
+            if (!firesOn(fire, w, out))
+                continue;
             std::int64_t sum = 0;
             for (const BlockInput &in : inputs) {
                 const std::int32_t q = dsp::toQ15(in.scalars[w]);
@@ -1066,29 +941,14 @@ class Q15ReducerKernel : public Kernel
 
     explicit Q15ReducerKernel(Op op) : op(op) {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        return Value(reduce(inputs[0]->frame()));
-    }
-
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
     {
-        const BlockInput &in = inputs[0];
-        for (std::size_t w = 0; w < count; ++w) {
-            const BlockFire decision =
-                fire ? fire[w] : BlockFire::RunAll;
-            if (decision == BlockFire::SkipIdle)
-                out.states[w] = kWaveIdle;
-            else if (decision == BlockFire::SkipBlocked)
-                out.states[w] = kWaveBlocked;
-            else {
-                out.scalars[w] = reduce(in.boxed[w].frame());
-                out.states[w] = kWaveEmitted;
-            }
-        }
+        runFrameBlock(inputs[0], fire, count, out,
+                      [&](const Value &x, std::size_t w) {
+                          out.scalars[w] = reduce(x.frame());
+                      });
     }
 
   private:
@@ -1184,19 +1044,25 @@ class Q15GoertzelKernel : public Kernel
           relative(relative)
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    void invokeBlock(const std::vector<BlockInput> &inputs,
+                     const BlockFire *fire, std::size_t count,
+                     const BlockOutput &out) override
     {
-        const auto &frame = inputs[0]->frame();
-        scratch.resize(frame.size());
-        dsp::quantizeQ15(frame.data(), scratch.data(), frame.size());
-        return Value(relative
-                         ? dsp::q15GoertzelRelative(
-                               scratch.data(), scratch.size(),
-                               targetHz, baseRateHz)
-                         : dsp::q15GoertzelMagnitude(
-                               scratch.data(), scratch.size(),
-                               targetHz, baseRateHz));
+        runFrameBlock(
+            inputs[0], fire, count, out,
+            [&](const Value &x, std::size_t w) {
+                const auto &frame = x.frame();
+                scratch.resize(frame.size());
+                dsp::quantizeQ15(frame.data(), scratch.data(),
+                                 frame.size());
+                out.scalars[w] =
+                    relative ? dsp::q15GoertzelRelative(
+                                   scratch.data(), scratch.size(),
+                                   targetHz, baseRateHz)
+                             : dsp::q15GoertzelMagnitude(
+                                   scratch.data(), scratch.size(),
+                                   targetHz, baseRateHz);
+            });
     }
 
   private:
@@ -1223,15 +1089,6 @@ class Q15ThresholdKernel : public Kernel
           useQ15(fitsQ15(threshold.lowLimit()) &&
                  fitsQ15(threshold.highLimit()))
     {}
-
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        double y;
-        if (!admit(inputs[0]->scalar(), y))
-            return std::nullopt;
-        return Value(y);
-    }
 
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,

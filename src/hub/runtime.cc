@@ -504,18 +504,13 @@ void
 HubRuntime::pushSamples(const std::vector<double> &values,
                         double timestamp)
 {
-    dataflow.pushSamples(values, timestamp);
-    noteWave(timestamp, timestamp);
-
-    for (auto &[channel, stream] : batchStreams) {
-        if (stream.pending.empty())
-            stream.firstTimestamp = timestamp;
-        stream.pending.push_back(values[channel]);
-        if (stream.pending.size() >= stream.batchSamples)
-            flushBatch(channel, stream, timestamp);
-    }
-
-    forwardWakeEvents();
+    if (values.size() != dataflow.channels().size())
+        throw ConfigError("pushSamples expects " +
+                          std::to_string(dataflow.channels().size()) +
+                          " values, got " +
+                          std::to_string(values.size()));
+    // One sample per channel is a one-wave channel-major block.
+    pushBlock(values.data(), 1, &timestamp);
 }
 
 void

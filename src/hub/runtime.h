@@ -60,7 +60,8 @@ class HubRuntime
 
     /**
      * Feed one synchronous sample per channel and forward any
-     * resulting wake-ups to the phone as WakeUp frames.
+     * resulting wake-ups to the phone as WakeUp frames: a one-wave
+     * pushBlock().
      */
     void pushSamples(const std::vector<double> &values, double timestamp);
 
@@ -70,7 +71,7 @@ class HubRuntime
      * streams append whole spans per block instead of one push_back
      * per sample. Wake frames (and their raw snapshots) are emitted
      * after the block settles, stamped with each event's own wave
-     * timestamp — so coalescing decisions match the per-sample path.
+     * timestamp — so coalescing decisions match one-wave ingestion.
      */
     void pushBlock(const double *samples, std::size_t count,
                    const double *timestamps);

@@ -257,7 +257,7 @@ LegacyEngine::pushSamples(const std::vector<double> &values,
             continue;
         }
 
-        if (node->kernel->invokeInto(input_ptrs, node->result)) {
+        if (invokeOneWave(*node)) {
             node->state = WaveState::Emitted;
         } else {
             node->state = node->kernel->conditional()
@@ -275,6 +275,50 @@ LegacyEngine::pushSamples(const std::vector<double> &values,
                 WakeEvent{id, timestamp, out_node->result.scalar()});
         }
     }
+}
+
+bool
+LegacyEngine::invokeOneWave(Node &node)
+{
+    // Kernels only test an input's state for Emitted, so one static
+    // byte marks every absent input; present ones need no state.
+    static const std::uint8_t absent =
+        static_cast<std::uint8_t>(WaveState::Idle);
+    static const hub::BlockFire partial = hub::BlockFire::RunPartial;
+
+    const std::size_t arity = node.scratch.size();
+    node.views.assign(arity, hub::BlockInput{});
+    node.scalars.resize(arity);
+    bool any_absent = false;
+    for (std::size_t k = 0; k < arity; ++k) {
+        const Value *value = node.scratch[k];
+        hub::BlockInput &view = node.views[k];
+        if (value == nullptr) {
+            view.states = &absent;
+            any_absent = true;
+        } else if (value->kind() == il::ValueKind::Scalar) {
+            node.scalars[k] = value->scalar();
+            view.scalars = &node.scalars[k];
+        } else {
+            view.boxed = value;
+        }
+    }
+
+    std::uint8_t state = 0;
+    double scalar = 0.0;
+    hub::BlockOutput out;
+    out.states = &state;
+    if (node.stream.kind == il::ValueKind::Scalar)
+        out.scalars = &scalar;
+    else
+        out.boxed = &node.result;
+    node.kernel->invokeBlock(node.views, any_absent ? &partial : nullptr,
+                             1, out);
+    if (state != static_cast<std::uint8_t>(WaveState::Emitted))
+        return false;
+    if (out.scalars != nullptr)
+        node.result = Value(scalar);
+    return true;
 }
 
 void

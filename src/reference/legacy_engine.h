@@ -3,10 +3,13 @@
  * Frozen copy of the hub engine's original AST-walking interpreter,
  * kept verbatim (modulo naming) as a behavioral reference.
  *
- * The live hub::Engine executes lowered il::ExecutionPlans; this class
- * preserves the statement-at-a-time install path and the per-wave
- * virtual firingPolicy dispatch it replaced. The plan property test
- * drives both against identical sample streams and requires
+ * The live hub::Engine executes lowered il::ExecutionPlans in blocks;
+ * this class preserves the statement-at-a-time install path and the
+ * sample-at-a-time wave loop with per-wave virtual firingPolicy
+ * dispatch it replaced. It shares only the kernels, which it calls
+ * through a one-wave adapter (Kernel::invokeBlock is their one entry
+ * point). The plan property test drives both against identical sample
+ * streams — the engine at several block sizes — and requires
  * bit-identical wake events, which is what licenses every future
  * change to the plan path.
  *
@@ -87,7 +90,11 @@ class LegacyEngine
         // Per-wave state.
         hub::WaveState state = hub::WaveState::Idle;
         hub::Value result;
+        /** This wave's inputs; null for a non-emitting one. */
         std::vector<const hub::Value *> scratch;
+        /** One-wave adapter scratch: input views, unboxed scalars. */
+        std::vector<hub::BlockInput> views;
+        std::vector<double> scalars;
     };
 
     struct Condition
@@ -99,6 +106,12 @@ class LegacyEngine
     };
 
     int channelIndexOf(const std::string &name) const;
+    /**
+     * The one-wave adapter: run @p node's kernel on the inputs in its
+     * scratch as a one-wave block (RunPartial when any is null).
+     * @return true when the kernel emitted into node.result.
+     */
+    static bool invokeOneWave(Node &node);
 
     std::vector<il::ChannelInfo> channelInfos;
     std::unordered_map<std::string, int> channelIndexByName;

@@ -7,6 +7,7 @@
 #include "hub/engine.h"
 #include "hub/mcu.h"
 #include "il/lower.h"
+#include "sim/replay.h"
 #include "support/error.h"
 
 namespace sidewinder::sim {
@@ -59,20 +60,11 @@ simulateConcurrent(
     result.mcuName = mcu.name;
 
     // Replay the trace; collect triggers per condition.
-    std::vector<std::size_t> mapping;
-    for (const auto &ch : channels)
-        mapping.push_back(trace.channelIndex(ch.name));
-
     std::map<int, std::vector<double>> triggers;
-    std::vector<double> values(mapping.size());
+    detail::replayBlocks(engine, trace, [&](const hub::WakeEvent &event) {
+        triggers[event.conditionId].push_back(event.timestamp);
+    });
     const std::size_t n = trace.sampleCount();
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t c = 0; c < mapping.size(); ++c)
-            values[c] = trace.channels[mapping[c]][i];
-        engine.pushSamples(values, trace.timeOf(i));
-        for (const auto &event : engine.drainWakeEvents())
-            triggers[event.conditionId].push_back(event.timestamp);
-    }
 
     // One shared timeline: the CPU wakes when any condition fires.
     // The dwell and lookback honour the most demanding application.
@@ -204,10 +196,6 @@ simulateDevice(const std::vector<DeviceDomain> &domains,
         result.totalHubMw += mcu.activePowerMw;
         model.hubMw += mcu.activePowerMw;
 
-        std::vector<std::size_t> mapping;
-        for (const auto &ch : channels)
-            mapping.push_back(trace.channelIndex(ch.name));
-
         PendingDomain p;
         p.domain = &domain;
         double event_dwell = config.eventDwellSeconds;
@@ -221,19 +209,13 @@ simulateDevice(const std::vector<DeviceDomain> &domains,
                                 : app->recommendedLookbackSeconds());
         }
 
-        std::vector<double> values(mapping.size());
-        for (std::size_t i = 0; i < trace.sampleCount(); ++i) {
-            for (std::size_t c = 0; c < mapping.size(); ++c)
-                values[c] = trace.channels[mapping[c]][i];
-            engine.pushSamples(values, trace.timeOf(i));
-            for (const auto &event : engine.drainWakeEvents()) {
-                p.triggers[event.conditionId].push_back(
-                    event.timestamp);
+        detail::replayBlocks(
+            engine, trace, [&](const hub::WakeEvent &event) {
+                p.triggers[event.conditionId].push_back(event.timestamp);
                 timeline.addAwakeInterval(
                     event.timestamp + trans,
                     event.timestamp + trans + event_dwell);
-            }
-        }
+            });
 
         result.domains.push_back(std::move(domain_result));
         pending.push_back(std::move(p));

@@ -49,6 +49,7 @@
 #include "hub/mcu.h"
 #include "hub/placer.h"
 #include "hub/plan_cache.h"
+#include "sim/replay.h"
 #include "support/thread_pool.h"
 #include "trace/types.h"
 
@@ -75,7 +76,7 @@ struct FleetConfig
      */
     std::size_t devicesPerShard = 64;
     /** Waves per Engine::pushBlock call (the ingestion batch size). */
-    std::size_t blockSamples = 64;
+    std::size_t blockSamples = kReplayBlockSamples;
     /** Trace seconds each device ingests per run() call. */
     double secondsPerDevice = 4.0;
     /** Master seed for app assignment, cursors, and fault draws. */

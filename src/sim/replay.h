@@ -1,10 +1,11 @@
 /**
  * @file
- * Internal helpers shared by the trace-replay paths of the simulator
- * (sim/simulator.cc) and the fault-injection harness (sim/faults.cc).
- * Both replay the same traces and score detections identically; these
- * live here so the supervised path cannot drift from the fault-free
- * one.
+ * Helpers shared by the trace-replay paths of the simulator
+ * (sim/simulator.cc, sim/concurrent.cc) and the fault-injection
+ * harness (sim/faults.cc), plus the block size the fleet defaults to.
+ * They replay the same traces through the same block ingestion and
+ * score detections identically; they live here so no simulator can
+ * drift from another.
  */
 
 #ifndef SIDEWINDER_SIM_REPLAY_H
@@ -16,9 +17,20 @@
 #include <vector>
 
 #include "apps/app.h"
+#include "hub/engine.h"
 #include "il/validate.h"
 #include "sim/timeline.h"
 #include "trace/types.h"
+
+namespace sidewinder::sim {
+
+/**
+ * Waves per Engine::pushBlock call when a simulator replays a trace
+ * (replayBlocks), and FleetConfig::blockSamples' default.
+ */
+inline constexpr std::size_t kReplayBlockSamples = 64;
+
+} // namespace sidewinder::sim
 
 namespace sidewinder::sim::detail {
 
@@ -42,6 +54,35 @@ channelMapping(const trace::Trace &trace,
     for (const auto &ch : channels)
         mapping.push_back(trace.channelIndex(ch.name));
     return mapping;
+}
+
+/**
+ * Replay all of @p trace through @p engine in channel-major blocks of
+ * kReplayBlockSamples waves, each wave stamped with trace.timeOf(i)
+ * so wake times are exactly those of sample-by-sample ingestion, and
+ * hand every wake event to @p on_wake in order.
+ */
+template <typename OnWake>
+void
+replayBlocks(hub::Engine &engine, const trace::Trace &trace,
+             OnWake &&on_wake)
+{
+    const auto mapping = channelMapping(trace, engine.channels());
+    const std::size_t n = trace.sampleCount();
+    std::vector<double> block(mapping.size() * kReplayBlockSamples);
+    std::vector<double> stamps(kReplayBlockSamples);
+    for (std::size_t start = 0; start < n; start += kReplayBlockSamples) {
+        const std::size_t k = std::min(kReplayBlockSamples, n - start);
+        for (std::size_t c = 0; c < mapping.size(); ++c) {
+            const double *lane = trace.channels[mapping[c]].data() + start;
+            std::copy(lane, lane + k, block.data() + c * k);
+        }
+        for (std::size_t w = 0; w < k; ++w)
+            stamps[w] = trace.timeOf(start + w);
+        engine.pushBlock(block.data(), k, stamps.data());
+        for (const auto &event : engine.drainWakeEvents())
+            on_wake(event);
+    }
 }
 
 /** Run the application classifier over merged awake intervals. */

@@ -16,7 +16,6 @@ namespace sidewinder::sim {
 
 namespace {
 
-using detail::channelMapping;
 using detail::classifyIntervals;
 using detail::meanLatency;
 using detail::sampleAt;
@@ -36,18 +35,10 @@ runHubCondition(const trace::Trace &trace,
     engine.addCondition(
         1, il::lower(program, channels, il::LowerOptions{share_nodes}));
 
-    const auto mapping = channelMapping(trace, channels);
-    const std::size_t n = trace.sampleCount();
-    std::vector<double> values(channels.size());
-
     HubRun run;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t c = 0; c < mapping.size(); ++c)
-            values[c] = trace.channels[mapping[c]][i];
-        engine.pushSamples(values, trace.timeOf(i));
-        for (const auto &event : engine.drainWakeEvents())
-            run.triggerTimes.push_back(event.timestamp);
-    }
+    detail::replayBlocks(engine, trace, [&](const hub::WakeEvent &event) {
+        run.triggerTimes.push_back(event.timestamp);
+    });
     return run;
 }
 

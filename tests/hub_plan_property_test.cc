@@ -140,19 +140,23 @@ TEST(PlanProperty, ConcurrentAudioConditionsShareAndStayIdentical)
 }
 
 // ---------------------------------------------------------------------
-// Block execution: pushBlock(K) against the per-sample wave loop on
-// the same engine type. The contract is bit-identity — same wake
-// events in the same order, same raw history — for every block size,
-// including K=1 and a ragged final block.
+// Block execution: pushBlock(K) against one-sample-at-a-time
+// ingestion, on the same engine type and on the frozen LegacyEngine.
+// The contract is bit-identity — same wake events in the same order,
+// same raw history — for every block size, including K=1 and a
+// ragged final block.
 
 /**
  * Drive @p ref one sample at a time and @p block_engine in blocks of
  * @p block_size waves (channel-major lanes), requiring bit-identical
  * wake-event streams at every block boundary and identical raw
- * snapshots afterward.
+ * snapshots afterward. @p ref is a hub::Engine (K=1 against K) or a
+ * reference::LegacyEngine (the independent oracle against every
+ * block branch).
  */
+template <typename RefEngine>
 void
-expectBlockIdentical(hub::Engine &block_engine, hub::Engine &ref,
+expectBlockIdentical(hub::Engine &block_engine, RefEngine &ref,
                      const std::vector<il::ChannelInfo> &channels,
                      const std::vector<int> &condition_ids,
                      std::uint64_t seed, int waves,
@@ -234,6 +238,58 @@ TEST(PlanProperty, BlockExecutionBitIdenticalOnAppsAcrossBlockSizes)
                     << " share=" << share;
             }
         }
+    }
+}
+
+TEST(PlanProperty, BlockExecutionOnAppsBitIdenticalToLegacy)
+{
+    // The oracle against pushBlock itself, so the dense, sparse
+    // (memchr over a decimating window) and partial-firing branches
+    // are each checked by an implementation that shares none of
+    // them — not only by the engine's own K=1 case.
+    for (bool share : {true, false}) {
+        for (const auto &app : apps::allApps()) {
+            const il::Program p = app->wakeCondition().compile();
+            for (std::size_t k : {std::size_t{1}, std::size_t{4},
+                                  std::size_t{16}, std::size_t{64}}) {
+                hub::Engine block_engine(app->channels(), share);
+                reference::LegacyEngine legacy(app->channels(), share);
+                block_engine.addCondition(1, p);
+                legacy.addCondition(1, p);
+                expectBlockIdentical(block_engine, legacy,
+                                     app->channels(), {1}, 7, 1500, k);
+                ASSERT_FALSE(::testing::Test::HasFatalFailure())
+                    << app->name() << " K=" << k
+                    << " share=" << share;
+            }
+        }
+    }
+}
+
+TEST(PlanProperty, BlockExecutionOnConcurrentConditionsBitIdenticalToLegacy)
+{
+    const auto channels = core::audioChannels();
+    std::vector<il::Program> programs;
+    for (const auto &app : apps::allApps())
+        if (app->channels().size() == channels.size() &&
+            app->channels().front().name == channels.front().name)
+            programs.push_back(app->wakeCondition().compile());
+    ASSERT_GE(programs.size(), 2u);
+
+    for (std::size_t k : {std::size_t{1}, std::size_t{4},
+                          std::size_t{16}, std::size_t{64}}) {
+        hub::Engine block_engine(channels, true);
+        reference::LegacyEngine legacy(channels, true);
+        std::vector<int> ids;
+        for (std::size_t i = 0; i < programs.size(); ++i) {
+            const int id = static_cast<int>(i) + 1;
+            block_engine.addCondition(id, programs[i]);
+            legacy.addCondition(id, programs[i]);
+            ids.push_back(id);
+        }
+        expectBlockIdentical(block_engine, legacy, channels, ids, 13,
+                             6000, k);
+        ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "K=" << k;
     }
 }
 
@@ -392,6 +448,101 @@ TEST(PlanProperty, FuzzedProgramsBlockBitIdenticalToPerSample)
             expectBlockIdentical(
                 block_engine, ref, kChannels, {1},
                 200 + static_cast<std::uint64_t>(trial), 1500, k);
+            ASSERT_FALSE(::testing::Test::HasFatalFailure())
+                << text << "K=" << k;
+        }
+    }
+}
+
+TEST(PlanProperty, FuzzedProgramsBlockBitIdenticalToLegacy)
+{
+    // Same generator and seeds as FuzzedProgramsAreBitIdenticalToLegacy,
+    // now through pushBlock: or/consecutive over Blocked thresholds
+    // drive the RunPartial lanes the oracle never had.
+    Rng gen(42);
+    for (int trial = 0; trial < 25; ++trial) {
+        const std::string text = fuzzProgram(gen);
+        il::Program program;
+        ASSERT_NO_THROW(program = il::parse(text)) << text;
+
+        for (bool share : {true, false}) {
+            for (std::size_t k : {std::size_t{1}, std::size_t{4},
+                                  std::size_t{16}, std::size_t{64}}) {
+                hub::Engine block_engine(kChannels, share);
+                reference::LegacyEngine legacy(kChannels, share);
+                block_engine.addCondition(1, program);
+                legacy.addCondition(1, program);
+                expectBlockIdentical(
+                    block_engine, legacy, kChannels, {1},
+                    100 + static_cast<std::uint64_t>(trial), 1500, k);
+                ASSERT_FALSE(::testing::Test::HasFatalFailure())
+                    << text << "K=" << k << " share=" << share;
+            }
+        }
+    }
+}
+
+/**
+ * A gated chain: a smoothed (or windowed) channel through a selective
+ * threshold, then a second stage fed only by that threshold, then a
+ * debounce. The second stage is a single-producer node whose producer
+ * is Blocked on most waves and Emitted on a few, so the block loop
+ * takes its sparse (memchr) branch on some blocks and its dense and
+ * state-lane branches on others, and the consecutive stage observes
+ * whether each Blocked wave propagated.
+ */
+std::string
+gatedProgram(Rng &rng)
+{
+    static const char *const kNames[5] = {"ACC_X", "ACC_Y", "ACC_Z",
+                                          "AUDIO", "BARO"};
+    std::ostringstream out;
+    const char *channel = kNames[rng.uniformInt(0, 4)];
+    if (rng.uniform(0.0, 1.0) < 0.3)
+        out << channel << " -> window(id=1, params={16});\n"
+            << "1 -> rms(id=2);\n";
+    else
+        out << channel << " -> window(id=1, params={4, 0, 1});\n"
+            << "1 -> mean(id=2);\n";
+    out << "2 -> minThreshold(id=3, params={"
+        << rng.uniform(0.3, 1.2) << "});\n";
+    switch (rng.uniformInt(0, 2)) {
+      case 0:
+        out << "3 -> maxThreshold(id=4, params={"
+            << rng.uniform(0.8, 2.0) << "});\n";
+        break;
+      case 1:
+        out << "3 -> movingAvg(id=4, params={"
+            << rng.uniformInt(1, 3) << "});\n";
+        break;
+      default:
+        out << "3 -> window(id=5, params={2, 0, 1});\n"
+            << "5 -> max(id=4);\n";
+        break;
+    }
+    out << "4 -> consecutive(id=6, params={" << rng.uniformInt(1, 3)
+        << "});\n"
+        << "6 -> OUT;\n";
+    return out.str();
+}
+
+TEST(PlanProperty, GatedChainsBlockBitIdenticalToLegacy)
+{
+    Rng gen(91);
+    for (int trial = 0; trial < 16; ++trial) {
+        const std::string text = gatedProgram(gen);
+        il::Program program;
+        ASSERT_NO_THROW(program = il::parse(text)) << text;
+
+        for (std::size_t k : {std::size_t{1}, std::size_t{4},
+                              std::size_t{16}, std::size_t{64}}) {
+            hub::Engine block_engine(kChannels, true);
+            reference::LegacyEngine legacy(kChannels, true);
+            block_engine.addCondition(1, program);
+            legacy.addCondition(1, program);
+            expectBlockIdentical(
+                block_engine, legacy, kChannels, {1},
+                300 + static_cast<std::uint64_t>(trial), 1500, k);
             ASSERT_FALSE(::testing::Test::HasFatalFailure())
                 << text << "K=" << k;
         }

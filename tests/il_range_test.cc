@@ -293,25 +293,32 @@ tripwireBounds(const ExecutionPlan &plan, const RangeAnalysis &facts)
 
 /**
  * Drive @p plan on a fresh engine with @p waves of uniform samples
- * inside @p ranges (per engine channel) and return the tripwire
- * violation report (empty string when sound).
+ * inside @p ranges (per engine channel), in channel-major blocks of
+ * @p block waves, and return the tripwire violation report (empty
+ * string when sound).
  */
 std::string
 runTripwire(const ExecutionPlan &plan, const RangeAnalysis &facts,
             const std::vector<ChannelInfo> &channels,
-            std::size_t waves, Rng &rng)
+            std::size_t waves, Rng &rng, std::size_t block = 1)
 {
     hub::Engine engine(channels);
     engine.addCondition(1, plan);
     engine.armRangeTripwire(tripwireBounds(plan, facts));
 
-    std::vector<double> sample(channels.size());
+    const std::size_t nch = channels.size();
+    std::vector<double> lanes;
     const double dt = 1.0 / channels.front().sampleRateHz;
-    for (std::size_t w = 0; w < waves; ++w) {
-        for (std::size_t c = 0; c < channels.size(); ++c)
-            sample[c] = rng.uniform(facts.channelRanges[c].lo,
-                                    facts.channelRanges[c].hi);
-        engine.pushSamples(sample, static_cast<double>(w) * dt);
+    for (std::size_t start = 0; start < waves; start += block) {
+        const std::size_t k = std::min(block, waves - start);
+        lanes.resize(nch * k);
+        for (std::size_t w = 0; w < k; ++w)
+            for (std::size_t c = 0; c < nch; ++c)
+                lanes[c * k + w] =
+                    rng.uniform(facts.channelRanges[c].lo,
+                                facts.channelRanges[c].hi);
+        engine.pushBlock(lanes.data(), k,
+                         static_cast<double>(start) * dt, dt);
     }
     if (engine.rangeTripwireViolations() == 0)
         return "";
@@ -343,9 +350,13 @@ TEST(RangeSoundness, BuiltinAppsObservedWithinProven)
         const std::size_t waves = std::max<std::size_t>(
             2000, static_cast<std::size_t>(
                       4.0 * channels.front().sampleRateHz));
-        const std::string verdict =
-            runTripwire(plan, facts, channels, waves, rng);
-        EXPECT_EQ(verdict, "") << "app " << name;
+        // One-wave blocks and the simulators' 64-wave blocks: the
+        // tripwire reads emitted lane entries, so both must hold.
+        for (std::size_t block : {std::size_t{1}, std::size_t{64}}) {
+            const std::string verdict =
+                runTripwire(plan, facts, channels, waves, rng, block);
+            EXPECT_EQ(verdict, "") << "app " << name << " K=" << block;
+        }
     }
 }
 
@@ -555,6 +566,35 @@ TEST(RangeSoundness, TripwireCatchesAnUnsoundBound)
     for (int w = 50; w < 60; ++w)
         engine.pushSamples({30.0, 0.0, 0.0}, w * 0.02);
     EXPECT_EQ(engine.rangeTripwireViolations(), before);
+}
+
+TEST(RangeSoundness, TripwireCatchesAnUnsoundBoundInBlocks)
+{
+    // The same false bound through 64-wave blocks — the ingestion
+    // every trace simulator and the fleet use. Every emission of a block
+    // must be checked, not only one-wave pushes.
+    const std::string source =
+        "ACC_X -> movingAvg(id=1, params={2});\n"
+        "1 -> maxThreshold(id=2, params={100.0});\n"
+        "2 -> OUT;\n";
+    const ExecutionPlan plan = lower(parse(source), kAccChannels);
+
+    std::unordered_map<std::string, hub::Engine::RangeBound> bogus;
+    for (std::size_t i = 0; i < plan.nodeCount(); ++i)
+        bogus[plan.shareKeys[i]] = {-0.001, 0.001};
+
+    constexpr std::size_t kBlock = 64;
+    std::vector<double> lanes(kAccChannels.size() * kBlock, 0.0);
+    std::fill(lanes.begin(), lanes.begin() + kBlock, 30.0); // ACC_X
+
+    hub::Engine engine(kAccChannels);
+    engine.addCondition(1, plan);
+    engine.armRangeTripwire(bogus);
+    engine.pushBlock(lanes.data(), kBlock, 0.0, 0.02);
+    // movingAvg(2) emits from the second wave on and its threshold
+    // admits each value: two nodes over 63 emitting waves.
+    EXPECT_EQ(engine.rangeTripwireViolations(), 2u * (kBlock - 1));
+    EXPECT_FALSE(engine.rangeTripwireFirstViolation().empty());
 }
 
 } // namespace
