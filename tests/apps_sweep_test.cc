@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "apps/apps.h"
 #include "hub/engine.h"
 #include "metrics/events.h"
@@ -67,11 +70,18 @@ expectFullCoverage(const Application &app, const trace::Trace &trace,
 
 // --- Accelerometer sweep: activity group x seed ---------------------
 
+// gtest prints a parameter that has no printer as its raw bytes, and
+// that text is part of each test's name. The sweep cases therefore have
+// no padding holes: the 4 bytes after the first field are a zeroed
+// member, so the names do not carry leftover stack bytes that change
+// from run to run.
 struct AccelCase
 {
     int group;
+    std::int32_t zeroPad = 0;
     std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<AccelCase>);
 
 class AccelSweep : public ::testing::TestWithParam<AccelCase>
 {
@@ -107,10 +117,13 @@ TEST_P(AccelSweep, HeadbuttsFullRecall)
 
 INSTANTIATE_TEST_SUITE_P(
     GroupsAndSeeds, AccelSweep,
-    ::testing::Values(AccelCase{1, 101}, AccelCase{1, 202},
-                      AccelCase{2, 101}, AccelCase{2, 202},
-                      AccelCase{3, 101}, AccelCase{3, 202},
-                      AccelCase{3, 303}),
+    ::testing::Values(AccelCase{.group = 1, .seed = 101},
+                      AccelCase{.group = 1, .seed = 202},
+                      AccelCase{.group = 2, .seed = 101},
+                      AccelCase{.group = 2, .seed = 202},
+                      AccelCase{.group = 3, .seed = 101},
+                      AccelCase{.group = 3, .seed = 202},
+                      AccelCase{.group = 3, .seed = 303}),
     [](const ::testing::TestParamInfo<AccelCase> &info) {
         return "g" + std::to_string(info.param.group) + "s" +
                std::to_string(info.param.seed);
@@ -121,8 +134,10 @@ INSTANTIATE_TEST_SUITE_P(
 struct AudioCase
 {
     trace::AudioEnvironment environment;
+    std::int32_t zeroPad = 0; // see AccelCase
     std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<AudioCase>);
 
 class AudioSweep : public ::testing::TestWithParam<AudioCase>
 {
@@ -180,12 +195,18 @@ TEST_P(AudioSweep, SpeechWakeCoversAllSpeech)
 INSTANTIATE_TEST_SUITE_P(
     EnvironmentsAndSeeds, AudioSweep,
     ::testing::Values(
-        AudioCase{trace::AudioEnvironment::Office, 11},
-        AudioCase{trace::AudioEnvironment::Office, 22},
-        AudioCase{trace::AudioEnvironment::CoffeeShop, 11},
-        AudioCase{trace::AudioEnvironment::CoffeeShop, 22},
-        AudioCase{trace::AudioEnvironment::Outdoors, 11},
-        AudioCase{trace::AudioEnvironment::Outdoors, 22}),
+        AudioCase{.environment = trace::AudioEnvironment::Office,
+                  .seed = 11},
+        AudioCase{.environment = trace::AudioEnvironment::Office,
+                  .seed = 22},
+        AudioCase{.environment = trace::AudioEnvironment::CoffeeShop,
+                  .seed = 11},
+        AudioCase{.environment = trace::AudioEnvironment::CoffeeShop,
+                  .seed = 22},
+        AudioCase{.environment = trace::AudioEnvironment::Outdoors,
+                  .seed = 11},
+        AudioCase{.environment = trace::AudioEnvironment::Outdoors,
+                  .seed = 22}),
     [](const ::testing::TestParamInfo<AudioCase> &info) {
         return trace::audioEnvironmentName(info.param.environment) +
                "s" + std::to_string(info.param.seed);
