@@ -5,10 +5,16 @@
  * deterministic in the seed, and the acceptance scenario of
  * docs/fault-model.md — byte corruption plus a mid-run hub brownout —
  * recovers all pushed conditions with bounded recall loss and nonzero
- * fault metrics.
+ * fault metrics. A golden digest pins the exact outcomes of a small
+ * supervised fault grid, so a change to the transport byte path that
+ * moves a single simulated byte, draw or timestamp shows up here.
  */
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdio>
+#include <string>
 
 #include "apps/apps.h"
 #include "sim/faults.h"
@@ -263,6 +269,95 @@ TEST(FaultSim, FaultsRequireSidewinderOnMcu)
     config.strategy = Strategy::Sidewinder;
     config.hubBackend = HubBackend::Fpga;
     EXPECT_THROW(simulate(trace, *app, config), ConfigError);
+}
+
+/** Every FaultMetrics count a supervised run reports, plus the
+    trigger count and the exact bit patterns of its two doubles. */
+std::string
+supervisedDigest(const SimResult &r)
+{
+    const auto &f = r.faults;
+    char line[512];
+    std::snprintf(
+        line, sizeof line,
+        "triggers=%zu power=%016llx down=%016llx retx=%zu lost=%zu "
+        "dropped=%zu corrupted=%zu decoder_dropped=%zu resets=%zu "
+        "repushed=%zu committed=%zu rolled_back=%zu",
+        r.hubTriggerCount,
+        static_cast<unsigned long long>(
+            std::bit_cast<std::uint64_t>(r.averagePowerMw)),
+        static_cast<unsigned long long>(
+            std::bit_cast<std::uint64_t>(f.hubDownSeconds)),
+        f.retransmits, f.framesLost, f.framesDropped, f.bytesCorrupted,
+        f.decoderDroppedBytes, f.hubResets, f.repushedConditions,
+        f.updatesCommitted, f.updatesRolledBack);
+    return line;
+}
+
+TEST(FaultSim, SupervisedGoldenDigest)
+{
+    // Six cells across the supervised fault axes on a short robot
+    // trace. The expected lines were generated before the transport
+    // byte path was made table-driven and contiguous; that rewrite
+    // must leave every one of them unchanged. A change that is meant
+    // to move outcomes (a liveness fix, say) regenerates them and
+    // says so in CHANGES.md.
+    trace::RobotRunConfig rc;
+    rc.idleFraction = 0.5;
+    rc.durationSeconds = 120.0;
+    rc.seed = 7;
+    const auto trace = trace::generateRobotRun(rc);
+    const auto app = apps::makeStepsApp();
+
+    const auto cell = [](std::uint64_t seed) {
+        SimConfig config;
+        config.strategy = Strategy::Sidewinder;
+        config.faults.seed = seed;
+        return config;
+    };
+    std::vector<SimConfig> cells;
+    for (double rate : {1e-3, 5e-3, 1e-2}) {
+        cells.push_back(cell(100 + cells.size()));
+        cells.back().faults.byteCorruptionRate = rate;
+    }
+    cells.push_back(cell(200));
+    cells.back().faults.hubResetTimes = {40.0, 80.0};
+    cells.back().faults.hubResetDowntimeSeconds = 10.0;
+    cells.push_back(cell(300));
+    cells.back().faults.reconfigUpdates = {{30.0, 1.2}, {75.0, 0.8}};
+    cells.back().faults.updateCorruptionRate = 2e-3;
+    cells.push_back(cell(400));
+    cells.back().faults.frameDropRate = 0.05;
+
+    const char *const expected[] = {
+        "triggers=40 power=40653e76eba81291 down=3fb47ae147ae1400 "
+        "retx=185 lost=0 dropped=0 corrupted=376 "
+        "decoder_dropped=295082 resets=0 repushed=1 committed=0 "
+        "rolled_back=0",
+        "triggers=1 power=4035ca740da740da down=0000000000000000 "
+        "retx=383 lost=19 dropped=0 corrupted=3153 "
+        "decoder_dropped=625141 resets=0 repushed=0 committed=0 "
+        "rolled_back=0",
+        "triggers=1 power=4035ca740da740da down=0000000000000000 "
+        "retx=390 lost=19 dropped=0 corrupted=6266 "
+        "decoder_dropped=619601 resets=0 repushed=0 committed=0 "
+        "rolled_back=0",
+        "triggers=36 power=4066bd1bb75d4093 down=402feb851eb851e8 "
+        "retx=0 lost=0 dropped=0 corrupted=0 decoder_dropped=0 "
+        "resets=2 repushed=2 committed=0 rolled_back=0",
+        "triggers=30 power=405fb72b47f3fc2d down=0000000000000000 "
+        "retx=1 lost=0 dropped=0 corrupted=1 decoder_dropped=17 "
+        "resets=0 repushed=0 committed=1 rolled_back=0",
+        "triggers=41 power=4065a60ff9724744 down=0000000000000000 "
+        "retx=5 lost=0 dropped=11 corrupted=0 decoder_dropped=0 "
+        "resets=0 repushed=0 committed=0 rolled_back=0",
+    };
+    ASSERT_EQ(cells.size(), std::size(expected));
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        EXPECT_EQ(supervisedDigest(simulateSupervised(trace, *app,
+                                                      cells[i])),
+                  expected[i])
+            << "cell " << i;
 }
 
 } // namespace
