@@ -49,6 +49,12 @@
 #           saturation-event counters are compiled in there (the
 #           sanitize trees define SIDEWINDER_Q15_COUNTERS), so the
 #           proof-vs-execution cross-check actually bites.
+#           The transport codec tests (transport_test) run here
+#           too: the frame decoder rescans failed candidates in place
+#           in one contiguous buffer, exactly where an off-by-one
+#           read would hide. UBSan reports are fatal here
+#           (UBSAN_OPTIONS=halt_on_error=1), so a report fails the
+#           run instead of scrolling past.
 #           SW_ASAN=1 enables the same.
 set -e
 cd "$(dirname "$0")/.."
@@ -89,12 +95,14 @@ fi
 if [ "${SW_ASAN:-0}" = "1" ]; then
     cmake -B build-asan -G Ninja \
         -DSIDEWINDER_SANITIZE=address,undefined
-    cmake --build build-asan --target transport_reliable_test \
-        hub_supervision_test sim_faults_test il_plan_test \
-        hub_plan_property_test hub_block_test dsp_q15_test \
-        sim_fleet_test il_range_test hub_reconfig_test \
+    cmake --build build-asan --target transport_test \
+        transport_reliable_test hub_supervision_test sim_faults_test \
+        il_plan_test hub_plan_property_test hub_block_test \
+        dsp_q15_test sim_fleet_test il_range_test hub_reconfig_test \
         hub_placer_test
+    export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
     echo "== ASan/UBSan: fault-tolerance stack =="
+    build-asan/tests/transport_test
     build-asan/tests/transport_reliable_test
     build-asan/tests/hub_supervision_test
     build-asan/tests/sim_faults_test

@@ -9,12 +9,6 @@
 
 namespace sidewinder::dsp {
 
-#if SIDEWINDER_Q15_COUNTERS_ENABLED
-namespace detail {
-thread_local std::uint64_t q15SaturationEvents = 0;
-}
-#endif
-
 std::uint64_t
 q15SaturationEventCount()
 {

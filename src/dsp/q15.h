@@ -60,7 +60,12 @@ inline constexpr double kQ15One = 32768.0;
 
 #if SIDEWINDER_Q15_COUNTERS_ENABLED
 namespace detail {
-extern thread_local std::uint64_t q15SaturationEvents;
+/**
+ * Defined inline here, not out of line in q15.cc: with an extern
+ * thread_local the inlined saturateQ15() reaches the counter through a
+ * TLS wrapper that UBSan flags as a null-pointer load.
+ */
+inline thread_local std::uint64_t q15SaturationEvents = 0;
 }
 #endif
 

@@ -710,12 +710,11 @@ Engine::resetState()
     dynamicCycles = 0.0;
 }
 
-std::vector<WakeEvent>
-Engine::drainWakeEvents()
+void
+Engine::drainWakeEvents(std::vector<WakeEvent> &out)
 {
-    std::vector<WakeEvent> out;
-    out.swap(pendingWakeEvents);
-    return out;
+    out.assign(pendingWakeEvents.begin(), pendingWakeEvents.end());
+    pendingWakeEvents.clear();
 }
 
 std::vector<double>

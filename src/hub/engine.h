@@ -221,8 +221,22 @@ class Engine
     /** Numeric mode the engine's kernels were instantiated with. */
     KernelMode kernelMode() const { return numericMode; }
 
-    /** Retrieve and clear the wake-ups raised since the last drain. */
-    std::vector<WakeEvent> drainWakeEvents();
+    /**
+     * Replace the contents of @p out with the wake-ups raised since the
+     * last drain, and clear them. Both the engine's queue and @p out
+     * keep their capacity, so a caller that reuses @p out across
+     * blocks drains without allocating.
+     */
+    void drainWakeEvents(std::vector<WakeEvent> &out);
+
+    /** Allocating form of drainWakeEvents(out) for one-shot callers. */
+    std::vector<WakeEvent>
+    drainWakeEvents()
+    {
+        std::vector<WakeEvent> out;
+        drainWakeEvents(out);
+        return out;
+    }
 
     /**
      * Recent raw samples of the condition's primary (first-referenced)

@@ -481,7 +481,8 @@ HubRuntime::forwardWakeEvents()
     // Each event carries its own wave timestamp, so coalescing
     // decisions are identical whether the events arrived one wave at
     // a time or in a block.
-    for (const auto &event : dataflow.drainWakeEvents()) {
+    dataflow.drainWakeEvents(wakeEvents);
+    for (const auto &event : wakeEvents) {
         if (wakeCoalesceInterval > 0.0) {
             const auto last = lastWakeSent.find(event.conditionId);
             if (last != lastWakeSent.end() &&

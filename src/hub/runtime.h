@@ -242,6 +242,8 @@ class HubRuntime
     double wakeCoalesceInterval = 0.0;
     std::map<int, double> lastWakeSent;
     std::size_t coalescedWakes = 0;
+    /** Reused by forwardWakeEvents() so draining never allocates. */
+    std::vector<WakeEvent> wakeEvents;
     double heartbeatInterval = 0.0;
     double lastHeartbeat = 0.0;
     bool heartbeatSent = false;

@@ -335,12 +335,11 @@ LegacyEngine::resetState()
     pendingWakeEvents.clear();
 }
 
-std::vector<WakeEvent>
-LegacyEngine::drainWakeEvents()
+void
+LegacyEngine::drainWakeEvents(std::vector<WakeEvent> &out)
 {
-    std::vector<WakeEvent> out;
-    out.swap(pendingWakeEvents);
-    return out;
+    out.assign(pendingWakeEvents.begin(), pendingWakeEvents.end());
+    pendingWakeEvents.clear();
 }
 
 std::vector<double>

@@ -55,8 +55,17 @@ class LegacyEngine
      */
     void pushSamples(const std::vector<double> &values, double timestamp);
 
-    /** Retrieve and clear the wake-ups raised since the last drain. */
-    std::vector<hub::WakeEvent> drainWakeEvents();
+    /** Same contract as hub::Engine::drainWakeEvents(out). */
+    void drainWakeEvents(std::vector<hub::WakeEvent> &out);
+
+    /** Allocating form of drainWakeEvents(out) for one-shot callers. */
+    std::vector<hub::WakeEvent>
+    drainWakeEvents()
+    {
+        std::vector<hub::WakeEvent> out;
+        drainWakeEvents(out);
+        return out;
+    }
 
     /** Recent raw samples of the condition's primary channel. */
     std::vector<double> rawSnapshot(int condition_id) const;

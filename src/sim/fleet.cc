@@ -347,9 +347,11 @@ FleetRuntime::runShard(std::size_t shard)
     if (samples_per_run == 0)
         return;
 
-    // One channel-major scratch block per shard, refilled per device
-    // per block — the only allocation in the fleet hot loop.
+    // One channel-major scratch block and one wake-event buffer per
+    // shard, refilled per device per block — the only allocations in
+    // the fleet hot loop.
     std::vector<double> block(channels.size() * config.blockSamples);
+    std::vector<hub::WakeEvent> events;
 
     for (std::size_t d = begin; d < end; ++d) {
         Device &device = devices[d];
@@ -391,7 +393,8 @@ FleetRuntime::runShard(std::size_t shard)
             device.stats.samplesIngested += k;
             remaining -= k;
 
-            for (const auto &ev : device.engine->drainWakeEvents()) {
+            device.engine->drainWakeEvents(events);
+            for (const auto &ev : events) {
                 device.stats.wakeEvents += 1;
                 device.stats.lastWakeTimestamp = ev.timestamp;
                 std::uint64_t h = device.stats.wakeDigest;

@@ -71,6 +71,7 @@ replayBlocks(hub::Engine &engine, const trace::Trace &trace,
     const std::size_t n = trace.sampleCount();
     std::vector<double> block(mapping.size() * kReplayBlockSamples);
     std::vector<double> stamps(kReplayBlockSamples);
+    std::vector<hub::WakeEvent> events;
     for (std::size_t start = 0; start < n; start += kReplayBlockSamples) {
         const std::size_t k = std::min(kReplayBlockSamples, n - start);
         for (std::size_t c = 0; c < mapping.size(); ++c) {
@@ -80,7 +81,8 @@ replayBlocks(hub::Engine &engine, const trace::Trace &trace,
         for (std::size_t w = 0; w < k; ++w)
             stamps[w] = trace.timeOf(start + w);
         engine.pushBlock(block.data(), k, stamps.data());
-        for (const auto &event : engine.drainWakeEvents())
+        engine.drainWakeEvents(events);
+        for (const auto &event : events)
             on_wake(event);
     }
 }

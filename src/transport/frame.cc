@@ -1,5 +1,8 @@
 #include "transport/frame.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "support/error.h"
 #include "transport/crc.h"
 
@@ -39,106 +42,100 @@ FrameDecoder::fail()
     // be — or contain — a real frame, so rescan instead of discarding.
     ++dropped;
     state = State::Sync;
-    payload.clear();
-    backlog.insert(backlog.begin(), raw.begin() + 1, raw.end());
-    raw.clear();
-}
-
-void
-FrameDecoder::step(std::uint8_t byte)
-{
-    if (state != State::Sync)
-        raw.push_back(byte);
-    switch (state) {
-      case State::Sync:
-        if (byte == frameSof) {
-            state = State::Type;
-            crcAccum = 0xFFFF;
-            payload.clear();
-            raw.assign(1, byte);
-            ++candidateEpoch;
-        } else {
-            ++dropped;
-        }
-        return;
-      case State::Type:
-        type = byte;
-        crcAccum = crc16Step(crcAccum, byte);
-        if (type < 1 ||
-            type > static_cast<std::uint8_t>(MessageType::UpdateAck)) {
-            fail();
-            return;
-        }
-        state = State::LenLo;
-        return;
-      case State::LenLo:
-        expected = byte;
-        crcAccum = crc16Step(crcAccum, byte);
-        state = State::LenHi;
-        return;
-      case State::LenHi:
-        expected |= static_cast<std::size_t>(byte) << 8;
-        crcAccum = crc16Step(crcAccum, byte);
-        if (expected > maxPayloadBytes) {
-            fail();
-            return;
-        }
-        state = expected == 0 ? State::CrcHi : State::Payload;
-        return;
-      case State::Payload:
-        payload.push_back(byte);
-        crcAccum = crc16Step(crcAccum, byte);
-        if (payload.size() == expected)
-            state = State::CrcHi;
-        return;
-      case State::CrcHi:
-        crcReceived = static_cast<std::uint16_t>(byte) << 8;
-        state = State::CrcLo;
-        return;
-      case State::CrcLo:
-        crcReceived |= byte;
-        if (crcReceived == crcAccum) {
-            Frame frame;
-            frame.type = static_cast<MessageType>(type);
-            frame.payload = std::move(payload);
-            payload = {};
-            ready.push_back(std::move(frame));
-            state = State::Sync;
-            raw.clear();
-        } else {
-            fail();
-        }
-        return;
-    }
+    head = candidateStart + 1;
 }
 
 void
 FrameDecoder::drain()
 {
-    // fail() pushes a candidate's bytes back onto the front of the
-    // backlog; each pass permanently consumes at least that
-    // candidate's SOF, so this terminates.
-    if (draining)
-        return;
-    draining = true;
-    while (!backlog.empty()) {
-        const std::uint8_t byte = backlog.front();
-        backlog.pop_front();
-        step(byte);
+    // fail() moves the read index back to just past the candidate's
+    // SOF; each rescan permanently consumes at least that SOF, so this
+    // terminates.
+    const std::uint8_t *const bytes = backlog.data();
+    const std::size_t size = backlog.size();
+    while (head < size) {
+        switch (state) {
+          case State::Sync: {
+            // Every byte before the next SOF is line noise.
+            const void *sof =
+                std::memchr(bytes + head, frameSof, size - head);
+            const std::size_t at =
+                sof ? static_cast<std::size_t>(
+                          static_cast<const std::uint8_t *>(sof) - bytes)
+                    : size;
+            dropped += at - head;
+            head = at;
+            if (head == size)
+                return;
+            candidateStart = head++;
+            state = State::Type;
+            crcAccum = 0xFFFF;
+            ++candidateEpoch;
+            break;
+          }
+          case State::Type:
+            type = bytes[head++];
+            crcAccum = crc16Step(crcAccum, type);
+            if (type < 1 ||
+                type > static_cast<std::uint8_t>(MessageType::UpdateAck))
+                fail();
+            else
+                state = State::LenLo;
+            break;
+          case State::LenLo:
+            expected = bytes[head];
+            crcAccum = crc16Step(crcAccum, bytes[head++]);
+            state = State::LenHi;
+            break;
+          case State::LenHi:
+            expected |= static_cast<std::size_t>(bytes[head]) << 8;
+            crcAccum = crc16Step(crcAccum, bytes[head++]);
+            if (expected > maxPayloadBytes)
+                fail();
+            else
+                state = expected == 0 ? State::CrcHi : State::Payload;
+            break;
+          case State::Payload: {
+            // SOF + type + length(2) precede the payload.
+            const std::size_t end = candidateStart + 4 + expected;
+            const std::size_t stop = std::min(end, size);
+            for (; head < stop; ++head)
+                crcAccum = crc16Step(crcAccum, bytes[head]);
+            if (head == end)
+                state = State::CrcHi;
+            break;
+          }
+          case State::CrcHi:
+            crcReceived = static_cast<std::uint16_t>(bytes[head++] << 8);
+            state = State::CrcLo;
+            break;
+          case State::CrcLo:
+            crcReceived |= bytes[head++];
+            if (crcReceived == crcAccum) {
+                const std::uint8_t *payload = bytes + candidateStart + 4;
+                Frame frame;
+                frame.type = static_cast<MessageType>(type);
+                frame.payload.assign(payload, payload + expected);
+                ready.push_back(std::move(frame));
+                state = State::Sync;
+            } else {
+                fail();
+            }
+            break;
+        }
     }
-    draining = false;
 }
 
 void
-FrameDecoder::feed(std::uint8_t byte)
+FrameDecoder::feed(std::span<const std::uint8_t> bytes)
 {
-    backlog.push_back(byte);
-    drain();
-}
-
-void
-FrameDecoder::feed(const std::vector<std::uint8_t> &bytes)
-{
+    // Everything before the open candidate (all of it between frames)
+    // has been consumed for good.
+    const std::size_t keep = state == State::Sync ? head : candidateStart;
+    backlog.erase(backlog.begin(),
+                  backlog.begin() + static_cast<std::ptrdiff_t>(keep));
+    head -= keep;
+    candidateStart -= std::min(candidateStart, keep);
     backlog.insert(backlog.end(), bytes.begin(), bytes.end());
     drain();
 }

@@ -12,7 +12,9 @@
  * The decoder resynchronizes after any CRC or length violation by
  * rescanning the failed candidate's bytes for embedded frames (an SOF
  * byte inside noise or a corrupted header must not swallow the intact
- * frame that follows), counting the bytes it had to discard. Because a
+ * frame that follows), counting the bytes it had to discard. The
+ * candidate's bytes stay in one contiguous buffer, so a rescan only
+ * moves a read index back, and hunting for the next SOF is a memchr. Because a
  * corrupted length field can promise more payload than will ever
  * arrive, receivers poll tickStall() with their clock so a wedged
  * candidate is abandoned instead of deafening the link.
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace sidewinder::transport {
@@ -137,10 +140,10 @@ class FrameDecoder
 {
   public:
     /** Feed one received byte. */
-    void feed(std::uint8_t byte);
+    void feed(std::uint8_t byte) { feed(std::span(&byte, 1)); }
 
     /** Feed a span of received bytes. */
-    void feed(const std::vector<std::uint8_t> &bytes);
+    void feed(std::span<const std::uint8_t> bytes);
 
     /** Retrieve the next completed frame, if any. */
     std::optional<Frame> poll();
@@ -171,23 +174,25 @@ class FrameDecoder
   private:
     enum class State { Sync, Type, LenLo, LenHi, Payload, CrcHi, CrcLo };
 
-    void step(std::uint8_t byte);
     void drain();
     void fail();
 
     State state = State::Sync;
     std::uint8_t type = 0;
     std::size_t expected = 0;
-    std::vector<std::uint8_t> payload;
     std::uint16_t crcAccum = 0;
     std::uint16_t crcReceived = 0;
     std::size_t dropped = 0;
     std::deque<Frame> ready;
-    /** Bytes of the current candidate, SOF included. */
-    std::vector<std::uint8_t> raw;
-    /** Bytes awaiting (re)scan; drained before feed() returns. */
-    std::deque<std::uint8_t> backlog;
-    bool draining = false;
+    /**
+     * Received bytes from the open candidate's SOF on (or none between
+     * frames). drain() consumes up to the end before feed() returns.
+     */
+    std::vector<std::uint8_t> backlog;
+    /** Next backlog byte to scan. */
+    std::size_t head = 0;
+    /** Backlog index of the open candidate's SOF. */
+    std::size_t candidateStart = 0;
     /** Candidates opened so far; identifies the stalled one. */
     std::uint64_t candidateEpoch = 0;
     std::uint64_t stallObservedEpoch = 0;

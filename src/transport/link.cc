@@ -22,48 +22,77 @@ UartLink::transferSeconds(std::size_t byte_count) const
 void
 UartLink::send(const std::vector<std::uint8_t> &bytes, double now)
 {
+    // Reclaim received bytes: all of them once the queue drains, else
+    // once they make up half of it, so compaction stays amortized O(1)
+    // per byte and any view receive() handed out stays valid until now.
+    if (head == queuedBytes.size() || head > queuedBytes.size() / 2) {
+        queuedBytes.erase(queuedBytes.begin(),
+                          queuedBytes.begin() +
+                              static_cast<std::ptrdiff_t>(head));
+        deliveryTimes.erase(deliveryTimes.begin(),
+                            deliveryTimes.begin() +
+                                static_cast<std::ptrdiff_t>(head));
+        head = 0;
+    }
     double start = std::max(now, lineBusyUntil);
     for (std::uint8_t byte : bytes) {
         const double done = start + transferSeconds(1);
         const std::uint8_t delivered = corrupt ? corrupt(byte) : byte;
         if (delivered != byte)
             ++corruptedCount;
-        inFlight.push_back(InFlight{delivered, done});
+        queuedBytes.push_back(delivered);
+        deliveryTimes.push_back(done);
         start = done;
     }
     lineBusyUntil = start;
 }
 
+bool
+UartLink::dropsFrame()
+{
+    if (!dropFrame || !dropFrame())
+        return false;
+    ++droppedFrameCount;
+    return true;
+}
+
 void
 UartLink::sendFrame(const Frame &frame, double now)
 {
-    if (dropFrame && dropFrame()) {
-        ++droppedFrameCount;
-        return;
-    }
-    send(encodeFrame(frame), now);
+    if (!dropsFrame())
+        send(encodeFrame(frame), now);
 }
 
-std::vector<std::uint8_t>
+void
+UartLink::sendEncodedFrame(const std::vector<std::uint8_t> &wire,
+                           double now)
+{
+    if (!dropsFrame())
+        send(wire, now);
+}
+
+std::size_t
+UartLink::deliveredBy(double now) const
+{
+    return static_cast<std::size_t>(
+        std::upper_bound(deliveryTimes.begin() +
+                             static_cast<std::ptrdiff_t>(head),
+                         deliveryTimes.end(), now + 1e-12) -
+        deliveryTimes.begin());
+}
+
+std::span<const std::uint8_t>
 UartLink::receive(double now)
 {
-    std::vector<std::uint8_t> out;
-    while (!inFlight.empty() &&
-           inFlight.front().deliveryTime <= now + 1e-12) {
-        out.push_back(inFlight.front().byte);
-        inFlight.pop_front();
-    }
-    return out;
+    const std::size_t first = head;
+    head = deliveredBy(now);
+    return {queuedBytes.data() + first, head - first};
 }
 
 std::size_t
 UartLink::pendingBytes(double now) const
 {
-    std::size_t count = 0;
-    for (const auto &entry : inFlight)
-        if (entry.deliveryTime > now + 1e-12)
-            ++count;
-    return count;
+    return queuedBytes.size() - deliveredBy(now);
 }
 
 } // namespace sidewinder::transport

@@ -13,9 +13,8 @@
 #define SIDEWINDER_TRANSPORT_LINK_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "transport/frame.h"
@@ -42,8 +41,21 @@ class UartLink
     /** Queue an encoded frame for transmission at time @p now. */
     void sendFrame(const Frame &frame, double now);
 
-    /** Bytes fully delivered by time @p now, in order. */
-    std::vector<std::uint8_t> receive(double now);
+    /**
+     * Queue the wire bytes of an already-encoded frame (encodeFrame()
+     * output) at time @p now. The frame-loss hook is consulted exactly
+     * as for sendFrame(), so a sender that keeps a frame's bytes for
+     * retransmission sees the same drops as one that re-encodes.
+     */
+    void sendEncodedFrame(const std::vector<std::uint8_t> &wire,
+                          double now);
+
+    /**
+     * Bytes fully delivered by time @p now, in order. The view points
+     * into the link's own buffer and stays valid until the next send
+     * on this link; callers consume it at once (e.g. feed a decoder).
+     */
+    std::span<const std::uint8_t> receive(double now);
 
     /** Seconds needed to serialize @p byte_count bytes. */
     double transferSeconds(std::size_t byte_count) const;
@@ -93,16 +105,23 @@ class UartLink
     double busyUntil() const { return lineBusyUntil; }
 
   private:
-    struct InFlight
-    {
-        std::uint8_t byte;
-        double deliveryTime;
-    };
+    /** Consult (and count) the frame-loss hook for one frame. */
+    bool dropsFrame();
+
+    /** Index of the first in-flight byte delivered after @p now. */
+    std::size_t deliveredBy(double now) const;
 
     double baudRate;
     /** Time the transmitter becomes free again. */
     double lineBusyUntil = 0.0;
-    std::deque<InFlight> inFlight;
+    /**
+     * Queued bytes (as delivered, i.e. after corruption) and their
+     * delivery times, both nondecreasing in index. Entries before
+     * @c head have been received; send() reclaims them.
+     */
+    std::vector<std::uint8_t> queuedBytes;
+    std::vector<double> deliveryTimes;
+    std::size_t head = 0;
     std::function<std::uint8_t(std::uint8_t)> corrupt;
     std::function<bool()> dropFrame;
     std::size_t corruptedCount = 0;

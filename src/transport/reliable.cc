@@ -91,7 +91,10 @@ ReliableEndpoint::sendFrame(const Frame &inner, double now)
         ++statistics.queueOverflows;
         return;
     }
-    queue.push_back(Pending{inner, nextSeq++, localEpoch});
+    queue.push_back(Pending{
+        nextSeq,
+        encodeFrame(encodeReliableData(nextSeq, inner, localEpoch))});
+    ++nextSeq;
     if (!inFlight)
         transmitHead(now, /*is_retransmit=*/false);
 }
@@ -99,9 +102,7 @@ ReliableEndpoint::sendFrame(const Frame &inner, double now)
 void
 ReliableEndpoint::transmitHead(double now, bool is_retransmit)
 {
-    const Pending &head = queue.front();
-    tx.sendFrame(encodeReliableData(head.seq, head.inner, head.epoch),
-                 now);
+    tx.sendEncodedFrame(queue.front().wire, now);
     inFlight = true;
     ++attempts;
     if (is_retransmit)

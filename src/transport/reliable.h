@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <vector>
 
 #include "support/rng.h"
 #include "transport/frame.h"
@@ -160,6 +161,8 @@ class ReliableEndpoint
     /**
      * Queue @p inner for guaranteed delivery. Tail-drops (and counts)
      * when the queue is full or the link is latched down.
+     * @throws TransportError when the wrapped frame would exceed
+     *     maxPayloadBytes; nothing is queued then.
      */
     void sendFrame(const Frame &inner, double now);
 
@@ -232,10 +235,12 @@ class ReliableEndpoint
 
     struct Pending
     {
-        Frame inner;
         std::uint16_t seq = 0;
-        /** Epoch stamped at queue time (retransmits stay identical). */
-        std::uint32_t epoch = 0;
+        /**
+         * Wire bytes, encoded once at queue time under the epoch then
+         * current, so every retransmit re-sends them unchanged.
+         */
+        std::vector<std::uint8_t> wire;
     };
     /** front() is the in-flight frame when inFlight is set. */
     std::deque<Pending> queue;
