@@ -52,7 +52,10 @@
 #           The transport codec tests (transport_test) run here
 #           too: the frame decoder rescans failed candidates in place
 #           in one contiguous buffer, exactly where an off-by-one
-#           read would hide. UBSan reports are fatal here
+#           read would hide. The support tests (support_test) run
+#           here too: the in-repo MT19937-64 twist indexes a fixed
+#           state array, exactly where an out-of-bounds index would
+#           hide. UBSan reports are fatal here
 #           (UBSAN_OPTIONS=halt_on_error=1), so a report fails the
 #           run instead of scrolling past.
 #           SW_ASAN=1 enables the same.
@@ -99,7 +102,7 @@ if [ "${SW_ASAN:-0}" = "1" ]; then
         transport_reliable_test hub_supervision_test sim_faults_test \
         il_plan_test hub_plan_property_test hub_block_test \
         dsp_q15_test sim_fleet_test il_range_test hub_reconfig_test \
-        hub_placer_test
+        hub_placer_test support_test
     export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
     echo "== ASan/UBSan: fault-tolerance stack =="
     build-asan/tests/transport_test
@@ -120,6 +123,8 @@ if [ "${SW_ASAN:-0}" = "1" ]; then
     build-asan/tests/hub_reconfig_test
     echo "== ASan/UBSan: negotiated-congestion placer =="
     build-asan/tests/hub_placer_test
+    echo "== ASan/UBSan: support (MT19937-64, Bernoulli cut) =="
+    build-asan/tests/support_test
 fi
 
 cmake -B build -G Ninja

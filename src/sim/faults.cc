@@ -1,8 +1,10 @@
 #include "sim/faults.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <memory>
-#include <optional>
+#include <span>
 
 #include "core/sensor_manager.h"
 #include "hub/mcu.h"
@@ -125,6 +127,32 @@ scaleThresholds(const core::ProcessingPipeline &pipeline, double scale)
     return scaled;
 }
 
+/**
+ * One direction's corruption hook: per byte, one raw draw against the
+ * Bernoulli cut of the current rate (so the same draw decides as
+ * Rng::chance(rate) would) and, on a hit only, uniformInt(0, 7) from
+ * the same stream picks the bit to flip. The rate changes only between
+ * sends, so the cut is recomputed only when it does.
+ */
+template <typename Rate>
+std::function<void(std::span<std::uint8_t>)>
+corruptor(std::shared_ptr<Rng> rng, Rate rate)
+{
+    return [rng = std::move(rng), rate,
+            cached_rate = std::numeric_limits<double>::quiet_NaN(),
+            cut = BernoulliCut{}](std::span<std::uint8_t> bytes) mutable {
+        const double now_rate = rate();
+        if (now_rate != cached_rate) {
+            cut = Rng::bernoulliCut(now_rate);
+            cached_rate = now_rate;
+        }
+        for (std::uint8_t &byte : bytes)
+            if (cut.hit(rng->next()))
+                byte ^= static_cast<std::uint8_t>(
+                    1u << rng->uniformInt(0, 7));
+    };
+}
+
 } // namespace
 
 bool
@@ -163,20 +191,8 @@ armLink(transport::LinkPair &link, const FaultPlan &plan,
                                      ? update_extra
                                      : 0.0);
         };
-        link.phoneToHub().setCorruptor(
-            [p2h_corrupt, rate](std::uint8_t byte) {
-                if (!p2h_corrupt->chance(rate()))
-                    return byte;
-                return static_cast<std::uint8_t>(
-                    byte ^ (1u << p2h_corrupt->uniformInt(0, 7)));
-            });
-        link.hubToPhone().setCorruptor(
-            [h2p_corrupt, rate](std::uint8_t byte) {
-                if (!h2p_corrupt->chance(rate()))
-                    return byte;
-                return static_cast<std::uint8_t>(
-                    byte ^ (1u << h2p_corrupt->uniformInt(0, 7)));
-            });
+        link.phoneToHub().setCorruptor(corruptor(p2h_corrupt, rate));
+        link.hubToPhone().setCorruptor(corruptor(h2p_corrupt, rate));
     }
     if (drop > 0.0) {
         link.phoneToHub().setFrameDropper(
@@ -315,7 +331,7 @@ simulateSupervised(const trace::Trace &trace,
                   return a.timeSeconds < b.timeSeconds;
               });
     std::size_t next_update = 0;
-    std::optional<ReconfigUpdate> active_update;
+    const ReconfigUpdate *active_update = nullptr;
     std::uint32_t attempt_epoch = 0;
 
     std::vector<double> values(channels.size());
@@ -352,7 +368,7 @@ simulateSupervised(const trace::Trace &trace,
 
         if (!active_update && next_update < updates.size() &&
             t >= updates[next_update].timeSeconds)
-            active_update = updates[next_update++];
+            active_update = &updates[next_update++];
         if (active_update) {
             if (attempt_epoch == 0) {
                 // (Re)try once the hub is reachable and no earlier
@@ -369,7 +385,7 @@ simulateSupervised(const trace::Trace &trace,
                 }
             } else if (!manager.updateInProgress()) {
                 if (manager.configEpoch() >= attempt_epoch)
-                    active_update.reset();
+                    active_update = nullptr;
                 else
                     // Rolled back (corruption, stall, brownout):
                     // retry under a fresh epoch.

@@ -34,15 +34,20 @@ UartLink::send(const std::vector<std::uint8_t> &bytes, double now)
                                 static_cast<std::ptrdiff_t>(head));
         head = 0;
     }
+    const std::size_t first = queuedBytes.size();
+    queuedBytes.insert(queuedBytes.end(), bytes.begin(), bytes.end());
+    if (corrupt) {
+        const std::span<std::uint8_t> fresh(queuedBytes.data() + first,
+                                            bytes.size());
+        corrupt(fresh);
+        for (std::size_t i = 0; i < bytes.size(); ++i)
+            corruptedCount += fresh[i] != bytes[i];
+    }
+    const double byte_seconds = transferSeconds(1);
     double start = std::max(now, lineBusyUntil);
-    for (std::uint8_t byte : bytes) {
-        const double done = start + transferSeconds(1);
-        const std::uint8_t delivered = corrupt ? corrupt(byte) : byte;
-        if (delivered != byte)
-            ++corruptedCount;
-        queuedBytes.push_back(delivered);
-        deliveryTimes.push_back(done);
-        start = done;
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        start += byte_seconds;
+        deliveryTimes.push_back(start);
     }
     lineBusyUntil = start;
 }

@@ -64,13 +64,14 @@ class UartLink
     double bandwidthBitsPerSecond() const { return baudRate * 0.8; }
 
     /**
-     * Install a per-byte corruption hook; it receives the byte and
-     * returns the (possibly corrupted) byte to deliver. Installed by
+     * Install a corruption hook. Each send() hands it the bytes just
+     * queued, once, to alter in place before they are delivered; the
+     * link counts every byte that comes back changed. Installed by
      * sim::armLink() from a seeded FaultPlan so every corruption
      * pattern is reproducible (tests may also install ad-hoc hooks).
      */
     void
-    setCorruptor(std::function<std::uint8_t(std::uint8_t)> corruptor)
+    setCorruptor(std::function<void(std::span<std::uint8_t>)> corruptor)
     {
         corrupt = std::move(corruptor);
     }
@@ -122,7 +123,7 @@ class UartLink
     std::vector<std::uint8_t> queuedBytes;
     std::vector<double> deliveryTimes;
     std::size_t head = 0;
-    std::function<std::uint8_t(std::uint8_t)> corrupt;
+    std::function<void(std::span<std::uint8_t>)> corrupt;
     std::function<bool()> dropFrame;
     std::size_t corruptedCount = 0;
     std::size_t droppedFrameCount = 0;

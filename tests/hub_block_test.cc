@@ -231,11 +231,12 @@ TEST(HubBlock, Q15WakeEventsTrackDoublePipelineOnShippedAudioApps)
                 std::abs(got_times[cursor] - t) <= 0.75)
                 ++matched;
         }
-        if (!want_times.empty())
+        if (!want_times.empty()) {
             EXPECT_GE(static_cast<double>(matched),
                       0.9 * static_cast<double>(want_times.size()))
                 << app->name() << " matched " << matched << "/"
                 << want_times.size();
+        }
     }
     // The traces must actually exercise the wake path.
     EXPECT_GT(total_double_wakes, 0u);

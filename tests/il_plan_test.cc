@@ -3,7 +3,8 @@
  * Tests for the IL lowering pass and the ExecutionPlan: dedupe
  * behavior, canonical-key agreement with the optimizer, cost agreement
  * with the analyzer, toProgram round-trips, and a renderPlan golden
- * corpus over tests/data/*.il (regenerate with SW_UPDATE_GOLDENS=1).
+ * corpus over the .il files in tests/data (regenerate with
+ * SW_UPDATE_GOLDENS=1).
  */
 
 #include <gtest/gtest.h>

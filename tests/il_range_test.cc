@@ -2,9 +2,9 @@
  * @file
  * Value-range abstract interpreter tests:
  *  - unit facts for every SW3xx diagnostic on handcrafted programs;
- *  - a golden corpus over tests/data/ranges/*.il (regenerate with
- *    SW_UPDATE_GOLDENS=1; files whose stem starts with "q15_" are
- *    analyzed in Q15 mode, where SW301 is an error);
+ *  - a golden corpus over the .il files in tests/data/ranges
+ *    (regenerate with SW_UPDATE_GOLDENS=1; files whose stem starts
+ *    with "q15_" are analyzed in Q15 mode, where SW301 is an error);
  *  - the soundness property the header promises: for every built-in
  *    application and a fleet of fuzzed programs, every value the
  *    double-precision engine emits lies inside the proven interval

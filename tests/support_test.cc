@@ -1,10 +1,16 @@
 /**
  * @file
  * Unit tests for the support module: ring buffer, RNG determinism,
- * and logging levels.
+ * the in-repo MT19937-64 against std::mt19937_64, the integer
+ * Bernoulli cut, and logging levels.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "support/error.h"
 #include "support/logging.h"
@@ -152,6 +158,102 @@ TEST(Rng, ForkProducesIndependentStream)
     for (int i = 0; i < 10; ++i)
         any_diff |= a.uniform(0.0, 1.0) != child.uniform(0.0, 1.0);
     EXPECT_TRUE(any_diff);
+}
+
+TEST(Mt19937_64, MatchesStandardEngine)
+{
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42},
+          std::uint64_t{0x5EED5EED}, ~std::uint64_t{0}}) {
+        Mt19937_64 ours(seed);
+        std::mt19937_64 reference(seed);
+        for (int i = 0; i < 1'000'000; ++i)
+            ASSERT_EQ(ours(), reference())
+                << "seed " << seed << " output " << i;
+    }
+}
+
+TEST(Mt19937_64, EveryHelperMatchesStandardEngine)
+{
+    // The same helper code on both engines, so every distribution sees
+    // the same raw draws; doubles are compared exactly.
+    Rng ours(0x5EED5EED);
+    BasicRng<std::mt19937_64> reference(0x5EED5EED);
+    const std::vector<double> weights = {0.5, 0.0, 2.0, 1.25};
+    for (int round = 0; round < 6; ++round) {
+        for (int i = 0; i < 2000; ++i) {
+            ASSERT_EQ(ours.next(), reference.next());
+            ASSERT_EQ(ours.uniform(-3.0, 7.5), reference.uniform(-3.0, 7.5));
+            ASSERT_EQ(ours.uniformInt(0, 7), reference.uniformInt(0, 7));
+            ASSERT_EQ(ours.uniformInt(-1000, 1'000'000'007),
+                      reference.uniformInt(-1000, 1'000'000'007));
+            ASSERT_EQ(ours.gaussian(5.0, 2.0), reference.gaussian(5.0, 2.0));
+            ASSERT_EQ(ours.chance(0.3), reference.chance(0.3));
+            ASSERT_EQ(ours.chance(2e-3), reference.chance(2e-3));
+            ASSERT_EQ(ours.weightedIndex(weights),
+                      reference.weightedIndex(weights));
+        }
+        // Continue down a chain of forks.
+        ours = ours.fork();
+        reference = reference.fork();
+    }
+}
+
+/** A generator that returns one fixed draw, to question the library. */
+struct FixedDraw
+{
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() const { return value; }
+    result_type value;
+};
+
+TEST(BernoulliCut, DecidesAsBernoulliDistributionDoes)
+{
+    constexpr std::uint64_t top = ~std::uint64_t{0};
+    Rng draws(0xB17);
+    for (const double p :
+         {-1.0, 0.0, 4.9e-324, 1e-300, 1e-4, 2e-3, 1e-2, 0.5,
+          1.0 - 0x1p-53, 1.0, 1.5}) {
+        const BernoulliCut cut = Rng::bernoulliCut(p);
+        // std::bernoulli_distribution requires 0 <= p <= 1; outside
+        // it, the clamped p gives the answer its comparison would.
+        const double legal = std::clamp(p, 0.0, 1.0);
+        auto library = [legal](std::uint64_t x) {
+            FixedDraw draw{x};
+            return std::bernoulli_distribution(legal)(draw);
+        };
+        for (const std::uint64_t x :
+             {std::uint64_t{0}, cut.threshold - 1, cut.threshold,
+              cut.threshold + 1, top})
+            ASSERT_EQ(cut.hit(x), library(x)) << "p " << p << " x " << x;
+        for (int i = 0; i < 100'000; ++i) {
+            const std::uint64_t x = draws.next();
+            ASSERT_EQ(cut.hit(x), library(x)) << "p " << p << " x " << x;
+        }
+    }
+    EXPECT_TRUE(Rng::bernoulliCut(1.0).always);
+    EXPECT_TRUE(Rng::bernoulliCut(1.5).always);
+    EXPECT_FALSE(Rng::bernoulliCut(-1.0).hit(0));
+    EXPECT_FALSE(Rng::bernoulliCut(0.0).hit(0));
+    // The largest p below 1 still fails on the top draws: its cut is a
+    // real threshold, told apart from "always" by the flag.
+    const BernoulliCut near_one = Rng::bernoulliCut(1.0 - 0x1p-53);
+    EXPECT_FALSE(near_one.always);
+    EXPECT_TRUE(near_one.hit(near_one.threshold - 1));
+    EXPECT_FALSE(near_one.hit(top));
+}
+
+TEST(BernoulliCut, RawDrawsMatchChanceDrawForDraw)
+{
+    for (const double p : {1e-4, 5e-3, 0.205, 0.5}) {
+        Rng a(123);
+        Rng b(123);
+        const BernoulliCut cut = Rng::bernoulliCut(p);
+        for (int i = 0; i < 200'000; ++i)
+            ASSERT_EQ(cut.hit(a.next()), b.chance(p)) << "p " << p;
+    }
 }
 
 TEST(Logging, LevelGates)

@@ -11,7 +11,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
+#include <memory>
 
+#include "sim/faults.h"
 #include "support/error.h"
 #include "support/rng.h"
 #include "transport/crc.h"
@@ -459,8 +462,9 @@ TEST(UartLink, QueuesBackToBackSends)
 TEST(UartLink, CorruptorAffectsDelivery)
 {
     UartLink link(1e6);
-    link.setCorruptor([](std::uint8_t b) {
-        return static_cast<std::uint8_t>(b ^ 0xFF);
+    link.setCorruptor([](std::span<std::uint8_t> bytes) {
+        for (std::uint8_t &b : bytes)
+            b ^= 0xFF;
     });
     link.send({0x0F}, 0.0);
     const auto bytes = link.receive(1.0);
@@ -471,10 +475,12 @@ TEST(UartLink, CorruptorAffectsDelivery)
 TEST(UartLink, FrameOverCorruptLinkIsDroppedByDecoder)
 {
     UartLink link(1e6);
-    int count = 0;
-    link.setCorruptor([&count](std::uint8_t b) {
-        ++count;
-        return count == 6 ? static_cast<std::uint8_t>(b ^ 1) : b;
+    // Flip one bit of the sixth byte sent.
+    std::size_t count = 0;
+    link.setCorruptor([&count](std::span<std::uint8_t> bytes) {
+        if (count < 6 && count + bytes.size() >= 6)
+            bytes[5 - count] ^= 1;
+        count += bytes.size();
     });
 
     Frame frame;
@@ -485,6 +491,73 @@ TEST(UartLink, FrameOverCorruptLinkIsDroppedByDecoder)
     FrameDecoder decoder;
     decoder.feed(link.receive(1.0));
     EXPECT_FALSE(decoder.poll().has_value());
+}
+
+TEST(UartLink, ArmedCorruptionMatchesByteAtATimeReference)
+{
+    // armLink's span hook must make the decisions of the byte-at-a-time
+    // model it replaced: per byte, chance(rate) on that direction's
+    // corruption stream, then uniformInt(0, 7) picks the bit on a hit.
+    // The streams are forks of Rng(seed) in armLink's order
+    // (p2h corrupt, p2h drop, h2p corrupt, h2p drop).
+    sim::FaultPlan plan;
+    plan.seed = 0xC0DE;
+    plan.byteCorruptionRate = 5e-3;
+    plan.updateCorruptionRate = 0.2;
+    auto update_active = std::make_shared<bool>(false);
+    LinkPair links(115200.0);
+    sim::armLink(links, plan, update_active);
+
+    Rng root(plan.seed);
+    Rng p2h_model = root.fork();
+    (void)root.fork();
+    Rng h2p_model = root.fork();
+    auto corrupt = [&update_active, &plan](Rng &model,
+                                           std::vector<std::uint8_t> bytes,
+                                           std::size_t &count) {
+        const double rate =
+            plan.byteCorruptionRate +
+            (*update_active ? plan.updateCorruptionRate : 0.0);
+        for (auto &byte : bytes) {
+            if (!model.chance(rate))
+                continue;
+            byte ^= static_cast<std::uint8_t>(1u << model.uniformInt(0, 7));
+            ++count;
+        }
+        return bytes;
+    };
+
+    Rng traffic(17);
+    const std::size_t sizes[] = {0, 1, 2, 7, 64, 255, 300, 1500};
+    std::size_t p2h_count = 0;
+    std::size_t h2p_count = 0;
+    double now = 0.0;
+    for (int round = 0; round < 400; ++round) {
+        if (round % 3 == 0)
+            *update_active = !*update_active;
+        for (int dir = 0; dir < 2; ++dir) {
+            std::vector<std::uint8_t> bytes(
+                sizes[traffic.uniformInt(0, std::size(sizes) - 1)]);
+            for (auto &byte : bytes)
+                byte = static_cast<std::uint8_t>(traffic.uniformInt(0, 255));
+            UartLink &link = dir == 0 ? links.phoneToHub()
+                                      : links.hubToPhone();
+            const auto want =
+                dir == 0 ? corrupt(p2h_model, bytes, p2h_count)
+                         : corrupt(h2p_model, bytes, h2p_count);
+            link.send(bytes, now);
+            now = link.busyUntil();
+            const auto got = link.receive(now);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                                   want.end()))
+                << "round " << round << " direction " << dir;
+        }
+        ASSERT_EQ(links.phoneToHub().corruptedBytes(), p2h_count);
+        ASSERT_EQ(links.hubToPhone().corruptedBytes(), h2p_count);
+    }
+    // The hit path (the bit-choice draw) ran many times.
+    EXPECT_GT(p2h_count, 1000u);
+    EXPECT_GT(h2p_count, 1000u);
 }
 
 
