@@ -1,86 +1,22 @@
 #include "apps/audio_features.h"
 
-#include "dsp/features.h"
-#include "dsp/fft.h"
-#include "dsp/filters.h"
+#include <algorithm>
+
 #include "support/error.h"
 
 namespace sidewinder::apps {
 
-std::vector<AudioWindowFeatures>
-extractAudioFeatures(const trace::Trace &trace, std::size_t begin,
-                     std::size_t end, const AudioFeatureConfig &config)
-{
-    if (!dsp::isPowerOfTwo(config.windowSize))
-        throw ConfigError("audio feature window must be a power of two");
-    if (config.hop == 0 || config.hop > config.windowSize)
-        throw ConfigError("audio feature hop must be in [1, window]");
-    if (config.subWindowSize == 0 ||
-        config.subWindowSize > config.windowSize)
-        throw ConfigError("audio sub-window must be in [1, window]");
-
-    const auto audio_idx = trace.channelIndex("AUDIO");
-    const auto &samples = trace.channels[audio_idx];
-    end = std::min(end, samples.size());
-
-    const dsp::FftBlockFilter high_pass(dsp::PassBand::HighPass,
-                                        config.highPassCutoffHz,
-                                        trace.sampleRateHz);
-
-    std::vector<AudioWindowFeatures> features;
-    for (std::size_t start = begin;
-         start + config.windowSize <= end; start += config.hop) {
-        const std::vector<double> frame(
-            samples.begin() + static_cast<long>(start),
-            samples.begin() + static_cast<long>(start +
-                                                config.windowSize));
-
-        AudioWindowFeatures f;
-        f.time = trace.timeOf(start + config.windowSize / 2);
-        f.amplitudeVariance = dsp::variance(frame);
-        f.rms = dsp::rootMeanSquare(frame);
-
-        // ZCR variance across sub-windows.
-        std::vector<double> zcrs;
-        zcrs.reserve(config.windowSize / config.subWindowSize);
-        for (std::size_t sub = 0;
-             sub + config.subWindowSize <= frame.size();
-             sub += config.subWindowSize) {
-            const std::vector<double> sub_frame(
-                frame.begin() + static_cast<long>(sub),
-                frame.begin() +
-                    static_cast<long>(sub + config.subWindowSize));
-            zcrs.push_back(dsp::zeroCrossingRate(sub_frame));
-        }
-        f.zcrVariance = dsp::variance(zcrs);
-
-        // Plain spectral features.
-        const auto mags = dsp::magnitudeSpectrum(frame);
-        const auto dom = dsp::dominantFrequency(mags);
-        f.dominantFreqHz = dsp::binFrequencyHz(dom.bin, frame.size(),
-                                               trace.sampleRateHz);
-        f.peakToMeanRatio = dom.peakToMeanRatio();
-
-        // Siren front end: high-pass then spectral peak.
-        const auto hp = high_pass.apply(frame);
-        const auto hp_mags = dsp::magnitudeSpectrum(hp);
-        const auto hp_dom = dsp::dominantFrequency(hp_mags);
-        f.highPassDominantFreqHz = dsp::binFrequencyHz(
-            hp_dom.bin, hp.size(), trace.sampleRateHz);
-        f.highPassPeakToMeanRatio = hp_dom.peakToMeanRatio();
-
-        features.push_back(f);
-    }
-    return features;
-}
-
 std::vector<double>
-runsOfFlaggedWindows(const std::vector<AudioWindowFeatures> &features,
-                     const std::vector<bool> &flags, double min_duration,
-                     double max_gap)
+runsOfFlaggedWindows(const trace::Trace &trace, std::size_t begin,
+                     std::size_t end, std::size_t window, std::size_t hop,
+                     double min_duration, double max_gap,
+                     const WindowPredicate &flagged)
 {
-    if (features.size() != flags.size())
-        throw ConfigError("feature/flag count mismatch");
+    if (hop == 0 || hop > window)
+        throw ConfigError("audio window hop must be in [1, window]");
+
+    const auto &samples = trace.channels[trace.channelIndex("AUDIO")];
+    end = std::min(end, samples.size());
 
     std::vector<double> detections;
     double run_start = 0.0;
@@ -93,10 +29,14 @@ runsOfFlaggedWindows(const std::vector<AudioWindowFeatures> &features,
         in_run = false;
     };
 
-    for (std::size_t i = 0; i < features.size(); ++i) {
-        if (!flags[i])
+    std::vector<double> frame;
+    for (std::size_t start = begin; start + window <= end;
+         start += hop) {
+        frame.assign(samples.begin() + static_cast<long>(start),
+                     samples.begin() + static_cast<long>(start + window));
+        if (!flagged(frame))
             continue;
-        const double t = features[i].time;
+        const double t = trace.timeOf(start + window / 2);
         if (in_run && t - run_end <= max_gap) {
             run_end = t;
         } else {

@@ -1,73 +1,45 @@
 /**
  * @file
- * Windowed audio feature extraction shared by the audio applications'
- * main-CPU classifiers (Section 3.7.2 of the paper): amplitude
- * variance, zero-crossing-rate variance across sub-windows, and
- * dominant-frequency statistics.
+ * Windowed scan shared by the audio applications' main-CPU
+ * classifiers (Section 3.7.2 of the paper). Each classifier supplies
+ * a per-window predicate that computes only the features it reads,
+ * cheapest test first; the scan owns the one frame buffer and groups
+ * flagged windows into detections.
  */
 
 #ifndef SIDEWINDER_APPS_AUDIO_FEATURES_H
 #define SIDEWINDER_APPS_AUDIO_FEATURES_H
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "trace/types.h"
 
 namespace sidewinder::apps {
 
-/** Features of one analysis window of audio. */
-struct AudioWindowFeatures
-{
-    /** Window midpoint, seconds from trace start. */
-    double time = 0.0;
-    /** Variance of the amplitude over the whole window. */
-    double amplitudeVariance = 0.0;
-    /** Variance of the ZCR across the window's sub-windows. */
-    double zcrVariance = 0.0;
-    /** Root mean square of the window. */
-    double rms = 0.0;
-    /** Frequency of the strongest non-DC spectral bin, Hz. */
-    double dominantFreqHz = 0.0;
-    /** Dominant-bin magnitude over mean bin magnitude. */
-    double peakToMeanRatio = 0.0;
-    /** Same, computed after a 750 Hz high-pass (siren front end). */
-    double highPassPeakToMeanRatio = 0.0;
-    /** Dominant frequency after the 750 Hz high-pass, Hz. */
-    double highPassDominantFreqHz = 0.0;
-};
-
-/** Parameters of the feature extraction. */
-struct AudioFeatureConfig
-{
-    /** Analysis window length in samples (power of two). */
-    std::size_t windowSize = 2048;
-    /** Advance between windows in samples. */
-    std::size_t hop = 1024;
-    /** Sub-window length for the ZCR-variance feature. */
-    std::size_t subWindowSize = 64;
-    /** High-pass cutoff used for the siren features, Hz. */
-    double highPassCutoffHz = 750.0;
-};
+/** Per-window predicate: true when the analysis window is flagged. */
+using WindowPredicate = std::function<bool(const std::vector<double> &)>;
 
 /**
- * Extract features for every analysis window fully contained in
- * [@p begin, @p end) of the audio channel of @p trace.
- */
-std::vector<AudioWindowFeatures>
-extractAudioFeatures(const trace::Trace &trace, std::size_t begin,
-                     std::size_t end,
-                     const AudioFeatureConfig &config = {});
-
-/**
- * Group consecutive flagged windows into runs and return the midpoint
- * time of each run at least @p min_duration long. Windows are
- * consecutive when their times differ by at most @p max_gap seconds.
+ * Slide a @p window sample frame by @p hop over the audio channel of
+ * @p trace, visiting every frame fully contained in [@p begin,
+ * @p end), and group consecutive frames for which @p flagged holds
+ * into runs. A frame's time is its midpoint, seconds from trace
+ * start; frames are consecutive when their times differ by at most
+ * @p max_gap seconds. Returns the midpoint time of each run at least
+ * @p min_duration long.
+ *
+ * @p flagged sees one reused frame buffer, so it may keep per-call
+ * scratch of its own but must not hold on to the frame.
+ *
+ * @throws ConfigError unless 1 <= @p hop <= @p window.
  */
 std::vector<double>
-runsOfFlaggedWindows(const std::vector<AudioWindowFeatures> &features,
-                     const std::vector<bool> &flags, double min_duration,
-                     double max_gap);
+runsOfFlaggedWindows(const trace::Trace &trace, std::size_t begin,
+                     std::size_t end, std::size_t window, std::size_t hop,
+                     double min_duration, double max_gap,
+                     const WindowPredicate &flagged);
 
 } // namespace sidewinder::apps
 

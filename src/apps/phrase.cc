@@ -21,12 +21,12 @@
 #include "apps/apps.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
+#include <vector>
 
-#include "dsp/features.h"
-#include "dsp/window.h"
 #include "dsp/fft.h"
+#include "dsp/fft_plan.h"
+#include "dsp/window.h"
 #include "core/algorithm.h"
 #include "core/sensors.h"
 #include "trace/types.h"
@@ -106,6 +106,61 @@ class PhraseApp : public Application
             trace.channels[trace.channelIndex("AUDIO")];
         end = std::min(end, samples.size());
 
+        // Per-call constants: the Hamming coefficients and the bins
+        // of the two tone regions and the three guard bands around
+        // them.
+        std::vector<double> hamming(classifierWindow);
+        for (std::size_t i = 0; i < classifierWindow; ++i)
+            hamming[i] = dsp::hammingCoefficient(i, classifierWindow);
+        auto band = [&](double lo_hz, double hi_hz) {
+            return bandBins(lo_hz, hi_hz, trace.sampleRateHz);
+        };
+        const BinRange tone_a = band(toneAHz - toneToleranceHz,
+                                     toneAHz + toneToleranceHz);
+        const BinRange tone_b = band(toneBHz - toneToleranceHz,
+                                     toneBHz + toneToleranceHz);
+        const BinRange guards[] = {
+            band(300.0, toneAHz - 2.5 * toneToleranceHz),
+            band(toneAHz + 2.5 * toneToleranceHz,
+                 toneBHz - 2.5 * toneToleranceHz),
+            band(toneBHz + 2.5 * toneToleranceHz, 1000.0)};
+
+        const auto plan = dsp::FftPlan::forSize(classifierWindow);
+        std::vector<double> frame(classifierWindow);
+        std::vector<dsp::Complex> spectrum;
+        std::vector<double> mags;
+        auto peak = [&](BinRange range) {
+            double best = 0.0;
+            for (std::size_t i = range.first; i < range.last; ++i)
+                best = std::max(best, mags[i]);
+            return best;
+        };
+
+        // True when the window at @p start carries both phrase tones
+        // prominently and nothing else: music chords whose harmonics
+        // graze the tone regions always light up neighbouring
+        // frequencies too, so quiet guard bands around the tones
+        // reject them.
+        auto has_chord = [&](std::size_t start) {
+            // Hamming windowing keeps tone energy out of the guard
+            // bands.
+            for (std::size_t i = 0; i < classifierWindow; ++i)
+                frame[i] = samples[start + i] * hamming[i];
+            dsp::magnitudeSpectrumInto(frame, *plan, spectrum, mags);
+            double total = 0.0;
+            for (std::size_t i = 1; i < mags.size(); ++i)
+                total += mags[i];
+            const double mean_mag =
+                total / static_cast<double>(mags.size() - 1);
+            if (mean_mag <= 0.0)
+                return false;
+            return peak(tone_a) >= toneProminence * mean_mag &&
+                   peak(tone_b) >= toneProminence * mean_mag &&
+                   std::max({peak(guards[0]), peak(guards[1]),
+                             peak(guards[2])}) <
+                       guardProminence * mean_mag;
+        };
+
         // Scan windows for the dual-tone chord signature; group
         // consecutive hits into a phrase detection.
         std::vector<double> detections;
@@ -121,14 +176,10 @@ class PhraseApp : public Application
 
         for (std::size_t start = begin;
              start + classifierWindow <= end; start += classifierHop) {
-            const std::vector<double> frame(
-                samples.begin() + static_cast<long>(start),
-                samples.begin() +
-                    static_cast<long>(start + classifierWindow));
             const double t =
                 trace.timeOf(start + classifierWindow / 2);
 
-            if (windowHasChord(frame, trace.sampleRateHz)) {
+            if (has_chord(start)) {
                 if (run_start < 0.0)
                     run_start = t;
                 run_end = t;
@@ -153,53 +204,32 @@ class PhraseApp : public Application
     double recommendedLookbackSeconds() const override { return 5.0; }
 
   private:
-    /**
-     * True when @p frame carries both phrase tones prominently and
-     * nothing else: music chords whose harmonics graze the tone
-     * regions always light up neighbouring frequencies too, so quiet
-     * guard bands around the tones reject them.
-     */
-    static bool
-    windowHasChord(std::vector<double> frame, double sample_rate_hz)
+    /** Spectrum bins [first, last) of one frequency band. */
+    struct BinRange
     {
-        // Hamming windowing keeps tone energy out of the guard bands.
-        dsp::applyWindow(frame, dsp::WindowType::Hamming);
-        const auto mags = dsp::magnitudeSpectrum(frame);
-        double total = 0.0;
-        for (std::size_t i = 1; i < mags.size(); ++i)
-            total += mags[i];
-        const double mean_mag =
-            total / static_cast<double>(mags.size() - 1);
-        if (mean_mag <= 0.0)
-            return false;
+        std::size_t first = 0;
+        std::size_t last = 0;
+    };
 
-        auto band_peak = [&](double lo_hz, double hi_hz) {
-            double peak = 0.0;
-            for (std::size_t i = 1; i < mags.size(); ++i) {
-                const double f = dsp::binFrequencyHz(i, frame.size(),
-                                                     sample_rate_hz);
-                if (f >= lo_hz && f <= hi_hz)
-                    peak = std::max(peak, mags[i]);
+    /**
+     * The non-DC bins of a classifierWindow transform whose frequency
+     * lies in [@p lo_hz, @p hi_hz]. Bin frequency rises with the bin
+     * index, so they form one contiguous range.
+     */
+    static BinRange
+    bandBins(double lo_hz, double hi_hz, double sample_rate_hz)
+    {
+        BinRange range;
+        for (std::size_t i = 1; i <= classifierWindow / 2; ++i) {
+            const double f =
+                dsp::binFrequencyHz(i, classifierWindow, sample_rate_hz);
+            if (f >= lo_hz && f <= hi_hz) {
+                if (range.first == range.last)
+                    range.first = i;
+                range.last = i + 1;
             }
-            return peak;
-        };
-
-        const double tone_a =
-            band_peak(toneAHz - toneToleranceHz,
-                      toneAHz + toneToleranceHz);
-        const double tone_b =
-            band_peak(toneBHz - toneToleranceHz,
-                      toneBHz + toneToleranceHz);
-        const double guard =
-            std::max({band_peak(300.0, toneAHz - 2.5 * toneToleranceHz),
-                      band_peak(toneAHz + 2.5 * toneToleranceHz,
-                                toneBHz - 2.5 * toneToleranceHz),
-                      band_peak(toneBHz + 2.5 * toneToleranceHz,
-                                1000.0)});
-
-        return tone_a >= toneProminence * mean_mag &&
-               tone_b >= toneProminence * mean_mag &&
-               guard < guardProminence * mean_mag;
+        }
+        return range;
     }
 };
 

@@ -18,6 +18,10 @@
 #include "apps/audio_features.h"
 #include "core/algorithm.h"
 #include "core/sensors.h"
+#include "dsp/features.h"
+#include "dsp/fft.h"
+#include "dsp/fft_plan.h"
+#include "dsp/filters.h"
 #include "trace/types.h"
 
 namespace sidewinder::apps {
@@ -40,6 +44,8 @@ constexpr double sirenBandHighHz = 1800.0;
 constexpr int wakeConsecutiveWindows = 11;
 
 /** Main classifier: same features, finer hop, tighter ratio. */
+constexpr std::size_t classifierWindow = 256;
+constexpr std::size_t classifierHop = 128;
 constexpr double classifierPitchRatio = 5.0;
 constexpr double classifierMinDurationSeconds = 0.65;
 
@@ -105,29 +111,40 @@ class SirenApp : public Application
     classify(const trace::Trace &trace, std::size_t begin,
              std::size_t end) const override
     {
-        AudioFeatureConfig config;
-        config.windowSize = 256;
-        config.hop = 128;
-        config.highPassCutoffHz = highPassCutoffHz;
+        const dsp::FftBlockFilter high_pass(dsp::PassBand::HighPass,
+                                            highPassCutoffHz,
+                                            trace.sampleRateHz);
+        const auto plan = dsp::FftPlan::forSize(classifierWindow);
+        std::vector<dsp::Complex> spectrum;
+        std::vector<double> mags;
+        std::vector<double> high_passed;
 
-        const auto features =
-            extractAudioFeatures(trace, begin, end, config);
-        std::vector<bool> flags(features.size());
-        for (std::size_t i = 0; i < features.size(); ++i) {
-            const auto &f = features[i];
-            // A real siren dominates the *unfiltered* spectrum too;
-            // music whose upper harmonics leak past the high-pass
-            // still has its fundamental (< 850 Hz) dominating overall
-            // and is rejected here.
-            flags[i] =
-                f.highPassPeakToMeanRatio >= classifierPitchRatio &&
-                f.highPassDominantFreqHz >= sirenBandLowHz &&
-                f.highPassDominantFreqHz <= sirenBandHighHz &&
-                f.dominantFreqHz >= sirenBandLowHz &&
-                f.dominantFreqHz <= sirenBandHighHz;
-        }
-        return runsOfFlaggedWindows(features, flags,
-                                    classifierMinDurationSeconds, 0.2);
+        // Strongest non-DC bin of the frame's magnitude spectrum.
+        auto dominant = [&](const std::vector<double> &frame) {
+            dsp::magnitudeSpectrumInto(frame, *plan, spectrum, mags);
+            return dsp::dominantFrequency(mags);
+        };
+        auto in_band = [&](const dsp::DominantFrequency &dom) {
+            const double hz = dsp::binFrequencyHz(
+                dom.bin, classifierWindow, trace.sampleRateHz);
+            return hz >= sirenBandLowHz && hz <= sirenBandHighHz;
+        };
+
+        // A real siren dominates the *unfiltered* spectrum too; music
+        // whose upper harmonics leak past the high-pass still has its
+        // fundamental (< 850 Hz) dominating overall and is rejected
+        // by that test, which is also the cheaper one (no filter).
+        return runsOfFlaggedWindows(
+            trace, begin, end, classifierWindow, classifierHop,
+            classifierMinDurationSeconds, 0.2,
+            [&](const std::vector<double> &frame) {
+                if (!in_band(dominant(frame)))
+                    return false;
+                high_pass.applyInto(frame, high_passed);
+                const auto hp = dominant(high_passed);
+                return hp.peakToMeanRatio() >= classifierPitchRatio &&
+                       in_band(hp);
+            });
     }
 
     double matchTolerance() const override { return 1.5; }

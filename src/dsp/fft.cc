@@ -124,13 +124,23 @@ ifftToReal(std::vector<Complex> spectrum)
 std::vector<double>
 magnitudeSpectrum(const std::vector<double> &samples)
 {
-    auto spectrum = fftReal(samples);
-    const std::size_t half = spectrum.size() / 2;
+    std::vector<Complex> spectrum;
     std::vector<double> mags;
-    mags.reserve(half + 1);
-    for (std::size_t i = 0; i <= half; ++i)
-        mags.push_back(std::abs(spectrum[i]));
+    magnitudeSpectrumInto(samples, *FftPlan::forSize(samples.size()),
+                          spectrum, mags);
     return mags;
+}
+
+void
+magnitudeSpectrumInto(const std::vector<double> &samples,
+                      const FftPlan &plan, std::vector<Complex> &spectrum,
+                      std::vector<double> &mags)
+{
+    plan.forwardReal(samples, spectrum);
+    const std::size_t half = spectrum.size() / 2;
+    mags.resize(half + 1);
+    for (std::size_t i = 0; i <= half; ++i)
+        mags[i] = std::abs(spectrum[i]);
 }
 
 double

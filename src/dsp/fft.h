@@ -60,11 +60,26 @@ std::vector<Complex> fftReal(const std::vector<double> &samples);
 /** Real part of the inverse FFT of @p spectrum. */
 std::vector<double> ifftToReal(std::vector<Complex> spectrum);
 
+class FftPlan;
+
 /**
  * Magnitudes of the non-redundant half of the spectrum of a real
  * signal: bins 0 .. N/2 inclusive.
  */
 std::vector<double> magnitudeSpectrum(const std::vector<double> &samples);
+
+/**
+ * magnitudeSpectrum() into caller-owned storage through a held plan.
+ * @p spectrum is transform scratch, resized to plan.size(); @p mags is
+ * resized to plan.size() / 2 + 1. A caller that reuses both performs
+ * no heap allocation per frame.
+ *
+ * @throws ConfigError unless samples.size() == plan.size().
+ */
+void magnitudeSpectrumInto(const std::vector<double> &samples,
+                           const FftPlan &plan,
+                           std::vector<Complex> &spectrum,
+                           std::vector<double> &mags);
 
 /**
  * Frequency in Hz corresponding to @p bin of an @p fft_size transform
