@@ -504,11 +504,8 @@ Engine::pushBlock(const double *samples, std::size_t count,
     for (const auto &[view, ch] : channelViews)
         view->scalars = samples + ch * count;
 
-    for (std::size_t ch = 0; ch < channelInfos.size(); ++ch) {
-        const double *lane = samples + ch * count;
-        for (std::size_t w = 0; w < count; ++w)
-            rawBuffers[ch].push(lane[w]);
-    }
+    for (std::size_t ch = 0; ch < channelInfos.size(); ++ch)
+        rawBuffers[ch].append(samples + ch * count, count);
 
     // Node-major block loop: for each node, settle all waves at once.
     // Valid because cross-wave state lives only inside kernel objects

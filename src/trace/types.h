@@ -56,7 +56,11 @@ struct Trace
     double durationSeconds() const;
 
     /** Timestamp of sample @p index, seconds from trace start. */
-    double timeOf(std::size_t index) const;
+    double
+    timeOf(std::size_t index) const
+    {
+        return static_cast<double>(index) / sampleRateHz;
+    }
 
     /** Index of the channel named @p name; throws if absent. */
     std::size_t channelIndex(const std::string &name) const;

@@ -112,6 +112,55 @@ TEST(HubBlock, BlocksAndSingleWavesInterleaveBitIdentically)
                 1e-6 * ref.cyclesConsumed() + 1e-9);
 }
 
+TEST(HubBlock, RawHistoryMatchesOneWavePushesAfterEveryBlock)
+{
+    // A 64-sample raw history per channel, fed blocks shorter than,
+    // equal to and longer than it: after every block each channel's
+    // snapshot must equal that of an engine fed one wave at a time.
+    const std::size_t history = 64;
+    Engine block_engine(kChannels, true, history);
+    Engine ref(kChannels, true, history);
+    const char *const programs[] = {
+        kMotionIl,
+        "ACC_Y -> movingAvg(id=1, params={4});\n"
+        "1 -> minThreshold(id=2, params={0.5});\n2 -> OUT;\n",
+        "ACC_Z -> movingAvg(id=1, params={4});\n"
+        "1 -> minThreshold(id=2, params={0.5});\n2 -> OUT;\n"};
+    for (int id = 1; id <= 3; ++id) {
+        const il::Program program = il::parse(programs[id - 1]);
+        block_engine.addCondition(id, program);
+        ref.addCondition(id, program);
+    }
+
+    Rng rng(41);
+    Rng pattern(42);
+    const std::size_t nch = kChannels.size();
+    std::vector<double> values(nch);
+    std::vector<double> packed;
+    std::vector<double> times;
+    int wave = 0;
+    for (int block = 0; block < 300; ++block) {
+        const std::size_t count =
+            block % 3 == 0
+                ? history
+                : static_cast<std::size_t>(pattern.uniformInt(1, 200));
+        packed.assign(nch * count, 0.0);
+        times.resize(count);
+        for (std::size_t w = 0; w < count; ++w) {
+            fillWave(rng, wave, values);
+            for (std::size_t c = 0; c < nch; ++c)
+                packed[c * count + w] = values[c];
+            times[w] = wave * 0.02;
+            ref.pushSamples(values, times[w]);
+            ++wave;
+        }
+        block_engine.pushBlock(packed.data(), count, times.data());
+        for (int id = 1; id <= 3; ++id)
+            ASSERT_EQ(block_engine.rawSnapshot(id), ref.rawSnapshot(id))
+                << "block " << block << " condition " << id;
+    }
+}
+
 TEST(HubBlock, EvenlySpacedOverloadMatchesExplicitTimestamps)
 {
     const il::Program program = il::parse(kMotionIl);

@@ -86,6 +86,74 @@ TEST(RingBuffer, OutOfRangeIndexThrows)
     EXPECT_THROW(buf[1], InternalError);
 }
 
+TEST(RingBuffer, AppendMatchesPushLoop)
+{
+    // Random append lengths below, at and above capacity, interleaved
+    // with single pushes, wrap the tail around many times; after each
+    // step the retained elements must equal those of a push loop.
+    std::mt19937_64 gen(17);
+    for (std::size_t capacity : {1u, 2u, 5u, 16u, 63u}) {
+        RingBuffer<int> appended(capacity);
+        RingBuffer<int> pushed(capacity);
+        std::vector<int> values;
+        int next = 0;
+        for (int step = 0; step < 400; ++step) {
+            std::size_t n;
+            switch (step % 4) {
+            case 0:
+                n = capacity;
+                break;
+            case 1:
+                n = std::uniform_int_distribution<std::size_t>(
+                    0, capacity - 1)(gen);
+                break;
+            case 2:
+                n = std::uniform_int_distribution<std::size_t>(
+                    capacity + 1, 3 * capacity)(gen);
+                break;
+            default:
+                n = 1;
+                break;
+            }
+            values.resize(n);
+            for (auto &v : values)
+                v = next++;
+            appended.append(values.data(), n);
+            for (int v : values)
+                pushed.push(v);
+            ASSERT_EQ(appended.size(), pushed.size())
+                << "capacity " << capacity << " step " << step;
+            ASSERT_EQ(appended.snapshot(), pushed.snapshot())
+                << "capacity " << capacity << " step " << step;
+            ASSERT_EQ(appended.front(), pushed.front());
+            ASSERT_EQ(appended.back(), pushed.back());
+
+            // Mixed with pushes on the appended side too.
+            appended.push(next);
+            pushed.push(next);
+            ++next;
+            ASSERT_EQ(appended.snapshot(), pushed.snapshot())
+                << "capacity " << capacity << " step " << step;
+        }
+    }
+}
+
+TEST(RingBuffer, AppendFromEmptyAndAfterClear)
+{
+    const std::vector<int> values = {1, 2, 3, 4, 5, 6, 7};
+    RingBuffer<int> buf(4);
+    buf.append(values.data(), 0);
+    EXPECT_TRUE(buf.empty());
+    buf.append(values.data(), 3);
+    EXPECT_EQ(buf.snapshot(), (std::vector<int>{1, 2, 3}));
+    buf.append(values.data() + 3, 4);
+    EXPECT_EQ(buf.snapshot(), (std::vector<int>{4, 5, 6, 7}));
+    buf.clear();
+    buf.append(values.data(), values.size());
+    EXPECT_EQ(buf.snapshot(), (std::vector<int>{4, 5, 6, 7}));
+    EXPECT_TRUE(buf.full());
+}
+
 TEST(Rng, SameSeedSameStream)
 {
     Rng a(42);
