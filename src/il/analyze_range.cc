@@ -276,7 +276,9 @@ fmtInterval(const Interval &iv)
 {
     if (iv.isEmpty())
         return "(empty)";
-    return "[" + fmt(iv.lo) + ", " + fmt(iv.hi) + "]";
+    std::string out = "[";
+    out.append(fmt(iv.lo)).append(", ").append(fmt(iv.hi)).append("]");
+    return out;
 }
 
 /** True for the conditional threshold/peak family. */

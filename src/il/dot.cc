@@ -54,7 +54,8 @@ toDot(const Program &program, const std::string &name)
     // Edges.
     for (const auto &stmt : program.statements) {
         const std::string target =
-            stmt.isOut ? "OUT" : "n" + std::to_string(stmt.id);
+            stmt.isOut ? std::string("OUT")
+                       : std::string("n").append(std::to_string(stmt.id));
         for (const auto &src : stmt.inputs) {
             if (src.kind == SourceRef::Kind::Channel)
                 out << "    " << channel_ids.at(src.channel);

@@ -125,8 +125,11 @@ INSTANTIATE_TEST_SUITE_P(
                       AccelCase{.group = 3, .seed = 202},
                       AccelCase{.group = 3, .seed = 303}),
     [](const ::testing::TestParamInfo<AccelCase> &info) {
-        return "g" + std::to_string(info.param.group) + "s" +
-               std::to_string(info.param.seed);
+        std::string name = "g";
+        name.append(std::to_string(info.param.group))
+            .append("s")
+            .append(std::to_string(info.param.seed));
+        return name;
     });
 
 // --- Audio sweep: environment x seed --------------------------------
