@@ -54,8 +54,14 @@
 #           in one contiguous buffer, exactly where an off-by-one
 #           read would hide. The support tests (support_test) run
 #           here too: the in-repo MT19937-64 twist indexes a fixed
-#           state array, exactly where an out-of-bounds index would
-#           hide. UBSan reports are fatal here
+#           state array and RingBuffer::append splits a block into
+#           two copies at the wrap point, exactly where an
+#           out-of-bounds index would hide. The audio classifier
+#           golden (apps_classify_test) runs here too: the siren,
+#           music and phrase classifiers reuse one frame, spectrum and
+#           magnitude buffer per call and index resolved band bin
+#           ranges, exactly where a stale size or an off-by-one bin
+#           would hide. UBSan reports are fatal here
 #           (UBSAN_OPTIONS=halt_on_error=1), so a report fails the
 #           run instead of scrolling past.
 #           SW_ASAN=1 enables the same.
@@ -102,7 +108,7 @@ if [ "${SW_ASAN:-0}" = "1" ]; then
         transport_reliable_test hub_supervision_test sim_faults_test \
         il_plan_test hub_plan_property_test hub_block_test \
         dsp_q15_test sim_fleet_test il_range_test hub_reconfig_test \
-        hub_placer_test support_test
+        hub_placer_test support_test apps_classify_test
     export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
     echo "== ASan/UBSan: fault-tolerance stack =="
     build-asan/tests/transport_test
@@ -125,6 +131,8 @@ if [ "${SW_ASAN:-0}" = "1" ]; then
     build-asan/tests/hub_placer_test
     echo "== ASan/UBSan: support (MT19937-64, Bernoulli cut) =="
     build-asan/tests/support_test
+    echo "== ASan/UBSan: audio classifiers (reused buffers) =="
+    build-asan/tests/apps_classify_test
 fi
 
 cmake -B build -G Ninja
